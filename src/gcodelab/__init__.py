@@ -41,7 +41,7 @@ from .groups import (
     save_group,
     subgroup_generated,
 )
-from .linalg import RowBasis, equal_spaces, kernel, rank, rref, subspace_intersect, subspace_sum
+from .linalg import RowBasis, kernel, rank, rref, subspace_intersect, subspace_sum
 from .schur import (
     SchurChainReport,
     binary_chain_monotone_check,

@@ -69,13 +69,22 @@ class GCode:
         return other.basis.contains_rows(self.basis.matrix)
 
     def key(self) -> bytes:
-        return self.basis.key()
+        """Canonical bytes of the basis and of the group's Cayley table, so
+        equal ideals over different groups get different keys."""
+        return self.basis.key() + self.group.table.tobytes()
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GCode) and self.basis == other.basis
+        return (
+            isinstance(other, GCode)
+            and self.basis == other.basis
+            and (
+                self.group is other.group
+                or np.array_equal(self.group.table, other.group.table)
+            )
+        )
 
     def __hash__(self) -> int:
-        return hash(self.basis)
+        return hash(self.key())
 
     def __repr__(self) -> str:
         return f"GCode(group={self.group.name}, p={self.field.p}, dim={self.dim})"

@@ -9,9 +9,11 @@ Reduction is deterministic: leftmost pivot column first, topmost available
 row as pivot, full elimination above and below.  This keeps every basis in
 the package byte-stable across runs and thread counts.
 
-For p = 2 there is a bit-packed fast path (one Python int per row, bit c =
-column c) used by the exhaustive sweeps; it is cross-checked against the
-generic path in the test suite.
+`rref_stack` runs the same reduction on a whole (B, r, c) stack of matrices
+at once; the exhaustive sweeps eliminate through it for every p.  For p = 2
+there is also a bit-packed path (one Python int per row, bit c = column c)
+used by the seeded ideal search.  Both are cross-checked against the generic
+path in the test suite.
 """
 
 from __future__ import annotations
@@ -84,19 +86,22 @@ class RowBasis:
         if matrix.ndim != 2:
             raise ValueError("basis matrix must be 2-D")
         pivots = tuple(int(c) for c in pivots)
-        if matrix.shape[0] != len(pivots):
+        nrows, ncols = matrix.shape
+        if nrows != len(pivots):
             raise ValueError("one pivot per row required")
-        if np.any(matrix < 0) or np.any(matrix >= field.p):
+        if matrix.size and (matrix.min() < 0 or matrix.max() >= field.p):
             raise ValueError("entries must be canonical residues")
         if any(b <= a for a, b in zip(pivots, pivots[1:])):
             raise ValueError("pivots must strictly increase")
-        for r, c in enumerate(pivots):
-            if c >= matrix.shape[1] or matrix[r, c] != 1:
+        if nrows and (pivots[0] < 0 or pivots[-1] >= ncols):
+            raise ValueError("pivot columns must lie inside the matrix")
+        piv = np.array(pivots, dtype=np.int64)
+        if not np.array_equal(matrix[:, piv], np.eye(nrows, dtype=np.int64)):
+            if np.any(matrix[np.arange(nrows), piv] != 1):
                 raise ValueError("pivot entries must be 1")
-            if np.count_nonzero(matrix[:, c]) != 1:
-                raise ValueError("pivot columns must be elsewhere 0")
-            if np.any(matrix[r, :c]):
-                raise ValueError("rows must be zero left of their pivot")
+            raise ValueError("pivot columns must be elsewhere 0")
+        if np.any(matrix[np.arange(ncols) < piv[:, None]]):
+            raise ValueError("rows must be zero left of their pivot")
         matrix = matrix.copy()
         matrix.setflags(write=False)
         self.matrix = matrix
@@ -167,6 +172,65 @@ def rank(a, field: PrimeField) -> int:
     return _rref_array(m, field)[0].shape[0]
 
 
+def _inv_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverse of nonzero residues, a^(p-2) by repeated squaring."""
+    out = np.ones_like(a)
+    base = a.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            out = (out * base) % p
+        base = (base * base) % p
+        e >>= 1
+    return out
+
+
+def rref_stack(stack, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical RREF of every matrix of a (B, r, c) stack, in one pass.
+
+    Returns (reduced, ranks): reduced[b, :ranks[b]] are the rows `rref`
+    gives for stack[b], row for row, and the remaining rows are zero.  The
+    pivot choice is the one of `rref` (leftmost column, topmost row), made
+    for all B matrices at once, column by column.
+
+    Only the pivot column and the pivot rows are reduced mod p as the pass
+    goes; every other entry changes by at most (p-1)^2 per column, so the
+    entries stay within (p-1) + c*(p-1)^2 and the work dtype is the smallest
+    one that holds that bound.  One reduction at the end makes all canonical.
+    """
+    p = field.p
+    m = np.asarray(stack, dtype=np.int64) % p
+    if m.ndim != 3:
+        raise ValueError(f"expected a (B, r, c) stack, got ndim={m.ndim}")
+    nmat, nrows, ncols = m.shape
+    bound = (p - 1) + ncols * (p - 1) ** 2
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    m = m.astype(dtype)
+    ranks = np.zeros(nmat, dtype=np.int64)
+    below = np.arange(nrows)
+    every = np.arange(nmat)
+    for c in range(ncols):
+        col = m[:, :, c] % p
+        cand = (col != 0) & (below >= ranks[:, None])
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        # matrices without a pivot here swap row r with itself and subtract 0
+        r = np.minimum(ranks, nrows - 1)
+        i = np.where(has, cand.argmax(axis=1), r)
+        found = m[every, i, c:] % p
+        m[every, i, c:] = m[every, r, c:]
+        col[every, i] = col[every, r]
+        pivot_row = (found * _inv_mod(found[:, :1], p)) % p
+        factors = col * has[:, None]
+        factors[every, r] = 0
+        m[:, :, c:] -= factors[:, :, None] * pivot_row[:, None, :]
+        m[every, r, c:] = np.where(has[:, None], pivot_row, m[every, r, c:])
+        ranks += has
+    m %= p
+    return m.astype(np.int64), ranks
+
+
 def kernel(a, field: PrimeField, width: int | None = None) -> RowBasis:
     """Canonical basis of the right kernel {v : a @ v = 0}."""
     m = as_matrix(a, field, width)
@@ -204,10 +268,6 @@ def subspace_intersect(a: RowBasis, b: RowBasis) -> RowBasis:
     return rref(np.array(inter_rows, dtype=np.int64), a.field, width=n)
 
 
-def equal_spaces(a: RowBasis, b: RowBasis) -> bool:
-    return a == b
-
-
 def _check_compatible(a: RowBasis, b: RowBasis) -> None:
     if a.field != b.field:
         raise ValueError(f"modulus mismatch: {a.field.p} vs {b.field.p}")
@@ -217,8 +277,8 @@ def _check_compatible(a: RowBasis, b: RowBasis) -> None:
 
 # --- bit-packed fast path over F_2 -----------------------------------------
 # A row of width n is an int whose bit c is the entry in column c.  Used by
-# the exhaustive sweeps and the seeded ideal search, where building numpy
-# matrices per candidate would dominate the runtime.
+# the seeded ideal search, where building numpy matrices per candidate would
+# dominate the runtime.
 
 
 def f2_rank(rows: Iterable[int], limit: int | None = None) -> int:

@@ -10,7 +10,6 @@ machine-checkable form of the structure results.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -23,8 +22,6 @@ from .ffield import PrimeField
 from .galg import AlgElem
 from .gcode import GCode
 from .groups import Group, Subgroup, is_p_group, is_subgroup, normal_p_complement, p_part
-
-_SWEEP_CHUNK = 1 << 12
 
 
 class UncertaintyResult(NamedTuple):
@@ -283,11 +280,46 @@ def solv_check(code: GCode) -> dict:
 
 # --- exhaustive sweeps -------------------------------------------------------
 #
-# Sweeps enumerate every f in F_p^G (little-endian digits of the index) and
-# work on bit-packed translate supports: with W[s, j] = 2^(table[s, j]) the
-# matrix product (support indicators) @ W yields, per f and per j, the support
-# mask of f * g_j.  Distinct supports never collide inside one translate, so
-# OR equals SUM and one integer matmul replaces the inner loops.
+# A sweep walks generators f in F_p^G, each named by its index: the digits of
+# the index in base p, little-endian, are the coefficients of f.
+#
+# Orbit pruning.  c*f*g generates the same right ideal as f for every scalar
+# c != 0 and every g in G, so an exhaustive sweep first maps every index to
+# the smallest index of its orbit (the orbit pass) and eliminates only those
+# orbit minima: one translate matrix per minimum, row j = f*g_j, reduced in
+# batches by linalg.rref_stack.  The set of generators of an ideal is a union
+# of orbits, so its smallest generator -- the tag the sweeps report -- is an
+# orbit minimum and the tags are those of an unpruned sweep.  Sampled sweeps
+# keep their meaning: they eliminate the sampled generators themselves, with
+# no orbit pass over all p^n indices.
+#
+# Rank by representative.  dim fF[G] is constant on an orbit, so the
+# uncertainty sweep, which must still visit every f for its weight and greedy
+# escape lengths, reads the rank of f from its orbit minimum.  Every
+# crosscheck_stride-th f is re-derived through uncertainty_check (rank of
+# f's own multiplication matrix), which audits that lookup as well.
+#
+# Greedy escape lengths work on bit-packed translate supports: with
+# W[s, j] = 2^(table[s, j]) the product (support indicators) @ W yields, per
+# f and per j, the support mask of f * g_j.  Distinct supports never collide
+# inside one translate, so OR equals SUM and one integer matmul replaces the
+# inner loops.  verify_all runs the orbit pass once and hands it to the
+# uncertainty sweep and the enumeration; the enumerated ideal list is shared
+# by the bound, equality and Schur sections.
+
+_SWEEP_CHUNK = 1 << 10
+
+
+class SweepOrbits(NamedTuple):
+    """Orbit pass of an exhaustive sweep over F_p[G].
+
+    rank_of[i] is dim fF[G] for the generator f with index i (0 for i = 0);
+    ideals lists each distinct nonzero cyclic ideal once, as (smallest
+    generator index, canonical RREF rows), in order of that index.
+    """
+
+    rank_of: np.ndarray
+    ideals: list[tuple[int, np.ndarray]]
 
 
 def _translate_weights(group: Group) -> np.ndarray:
@@ -296,32 +328,87 @@ def _translate_weights(group: Group) -> np.ndarray:
     return np.int64(1) << group.table.astype(np.int64)
 
 
-def _digit_divisors(n: int, p: int) -> np.ndarray:
-    return p ** np.arange(n, dtype=np.int64)
+def _generator_digits(idx: np.ndarray, n: int, p: int) -> np.ndarray:
+    return (idx[:, None] // p ** np.arange(n, dtype=np.int64)) % p
+
+
+def _translate_index(group: Group) -> np.ndarray:
+    """Row j maps x to x * g_j^(-1): digits[row j] are the coefficients of
+    f * g_j, so digits[:, table] stacks the translate matrices."""
+    return group.table[:, group.inverse].T.copy()
 
 
 def _chunk_ranges(total: int, chunk: int = _SWEEP_CHUNK) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, total)) for lo in range(1, total, chunk)]
 
 
-def _run_chunks(work, ranges, threads: int) -> list:
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, ranges))
-    return [work(r) for r in ranges]
+def _sample_indices(total: int, sample: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.integers(1, total, size=sample, dtype=np.int64))
 
 
-def _greedy_from_masks(masks: list[int], order: Sequence[int], full: int) -> int:
-    covered = 0
-    t = 0
+def _eliminate(
+    indices: np.ndarray, group: Group, field: PrimeField
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """Ranks of the ideals generated by the given ascending generator indices,
+    and the distinct ideals among them as (first index, RREF rows)."""
+    translate = _translate_index(group)
+    ranks = np.empty(len(indices), dtype=np.int64)
+    seen: set[bytes] = set()
+    ideals: list[tuple[int, np.ndarray]] = []
+    for lo in range(0, len(indices), _SWEEP_CHUNK):
+        idx = indices[lo : lo + _SWEEP_CHUNK]
+        digits = _generator_digits(idx, group.order, field.p)
+        reduced, rk = linalg.rref_stack(digits[:, translate], field)
+        ranks[lo : lo + len(idx)] = rk
+        for j, (fidx, k) in enumerate(zip(idx.tolist(), rk.tolist())):
+            rows = reduced[j, :k]
+            key = rows.tobytes()
+            if key not in seen:
+                seen.add(key)
+                ideals.append((fidx, rows.copy()))
+    return ranks, ideals
+
+
+def sweep_orbits(group: Group, field: PrimeField) -> SweepOrbits:
+    """Map every generator index to its orbit minimum under f -> c*f*g and
+    eliminate the minima; see the comment block above."""
+    n, p = group.order, field.p
+    total = p**n
+    translate = _translate_index(group)
+    place = p ** np.arange(n, dtype=np.int64)
+    rep_of = np.zeros(total, dtype=np.int64)
+    reps = []
+    for lo, hi in _chunk_ranges(total):
+        idx = np.arange(lo, hi, dtype=np.int64)
+        best = idx.copy()
+        digits = _generator_digits(idx, n, p)
+        for row in translate:
+            moved = digits[:, row]
+            for c in range(1, p):
+                np.minimum(best, ((c * moved) % p) @ place, out=best)
+        rep_of[lo:hi] = best
+        reps.append(idx[best == idx])
+    reps = np.concatenate(reps)
+    ranks, ideals = _eliminate(reps, group, field)
+    rank_of = rep_of  # overwritten in place, chunk by chunk, to bound memory
+    for lo, hi in _chunk_ranges(total):
+        rank_of[lo:hi] = ranks[np.searchsorted(reps, rep_of[lo:hi])]
+    return SweepOrbits(rank_of, ideals)
+
+
+def _greedy_lengths(
+    masks: np.ndarray, order: np.ndarray, full: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy escape length of each row of translate masks along `order`,
+    and whether the kept translates cover the group."""
+    covered = np.zeros(len(masks), dtype=np.int64)
+    t = np.zeros(len(masks), dtype=np.int64)
     for g in order:
-        m = masks[g]
-        if m & ~covered:
-            covered |= m
-            t += 1
-    if covered != full:
-        raise VerificationError("mask pass failed to cover the group")
-    return t
+        m = masks[:, g]
+        t += (m & ~covered) != 0
+        covered |= m
+    return t, covered == full
 
 
 def verify_uncertainty(
@@ -332,73 +419,73 @@ def verify_uncertainty(
     crosscheck_stride: int = 997,
     sample: int | None = None,
     sample_seed: int = 0,
+    orbits: SweepOrbits | None = None,
 ) -> dict:
     """Sweep all nonzero f: support size times ideal dimension reaches |G|,
     and both greedy escape lengths stay below the rank.
 
-    Every crosscheck_stride-th f is re-verified through the public
-    uncertainty_check path (full matrix rank) as an internal consistency
-    audit of the packed fast path.
+    Exhaustive mode reads the rank of f from its orbit minimum (`orbits`,
+    computed here when not given); sampled mode eliminates the sampled f
+    themselves.  Every crosscheck_stride-th f is re-verified through the
+    public uncertainty_check path (full matrix rank of f itself), which
+    audits the packed masks and the rank lookup.  `threads` is accepted for
+    interface stability; the sweep is vectorized and runs in one thread.
     """
     n, p = group.order, field.p
     W = _translate_weights(group)
-    divs = _digit_divisors(n, p)
     full = (1 << n) - 1
-    natural = list(range(n))
-    shuffled = [int(x) for x in np.random.default_rng(shuffle_seed).permutation(n)]
-    idx_mat = None
-    if p != 2:
-        idx_mat = group.table[:, group.inverse].T.copy()  # row j: x -> x * inv(g_j)
-
-    def work(bounds: tuple[int, int]) -> tuple[int, list[dict]]:
-        lo, hi = bounds
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = (idx[:, None] // divs) % p
+    natural = np.arange(n)
+    shuffled = np.random.default_rng(shuffle_seed).permutation(n)
+    if sample is None:
+        if orbits is None:
+            orbits = sweep_orbits(group, field)
+        batches = (
+            (np.arange(lo, hi, dtype=np.int64), orbits.rank_of[lo:hi])
+            for lo, hi in _chunk_ranges(p**n)
+        )
+    else:
+        picks = _sample_indices(p**n, sample, sample_seed)
+        batches = (
+            (idx, _eliminate(idx, group, field)[0])
+            for idx in np.split(picks, range(_SWEEP_CHUNK, len(picks), _SWEEP_CHUNK))
+        )
+    checked = 0
+    failures: list[dict] = []
+    for idx, ranks in batches:
+        digits = _generator_digits(idx, n, p)
         bits = (digits != 0).astype(np.int64)
         weights = bits.sum(axis=1)
-        col_masks = bits @ W
-        failures: list[dict] = []
-        for t_local in range(hi - lo):
-            fidx = lo + t_local
-            masks = col_masks[t_local].tolist()
-            w = int(weights[t_local])
+        masks = bits @ W
+        t_nat, cov_nat = _greedy_lengths(masks, natural, full)
+        t_shuf, cov_shuf = _greedy_lengths(masks, shuffled, full)
+        suspect = (
+            ~(cov_nat & cov_shuf)
+            | (ranks < t_nat)
+            | (ranks < t_shuf)
+            | (weights * ranks < n)
+            | (idx % crosscheck_stride == 0)
+        )
+        for j in np.flatnonzero(suspect).tolist():
+            w, rho = int(weights[j]), int(ranks[j])
             try:
-                if p == 2:
-                    rho = linalg.f2_rank(masks)
-                else:
-                    translates = digits[t_local][idx_mat]
-                    rho = linalg.rank(translates, field)
-                t_nat = _greedy_from_masks(masks, natural, full)
-                t_shuf = _greedy_from_masks(masks, shuffled, full)
-                if rho < t_nat or rho < t_shuf:
+                if not (cov_nat[j] and cov_shuf[j]):
+                    raise VerificationError("mask pass failed to cover the group")
+                if rho < t_nat[j] or rho < t_shuf[j]:
                     raise VerificationError(
-                        f"rank {rho} below greedy lengths {t_nat}/{t_shuf}"
+                        f"rank {rho} below greedy lengths {t_nat[j]}/{t_shuf[j]}"
                     )
                 if w * rho < n:
                     raise VerificationError(f"product {w * rho} below {n}")
-                if fidx % crosscheck_stride == 0:
-                    f = AlgElem(group, field, digits[t_local])
-                    ref = uncertainty_check(f)
+                if idx[j] % crosscheck_stride == 0:
+                    ref = uncertainty_check(AlgElem(group, field, digits[j]))
                     if (ref.weight, ref.rank) != (w, rho):
                         raise VerificationError(
                             f"fast path disagrees with matrix path: "
                             f"{(w, rho)} vs {(ref.weight, ref.rank)}"
                         )
             except VerificationError as exc:
-                failures.append({"f": fidx, "reason": str(exc)})
-        return hi - lo, failures
-
-    if sample is None:
-        ranges = _chunk_ranges(p**n)
-        results = _run_chunks(work, ranges, threads)
-    else:
-        rng = np.random.default_rng(sample_seed)
-        picks = np.sort(
-            rng.integers(1, p**n, size=sample, dtype=np.int64)
-        )
-        results = [work((int(i), int(i) + 1)) for i in picks]
-    checked = sum(r[0] for r in results)
-    failures = [f for r in results for f in r[1]]
+                failures.append({"f": int(idx[j]), "reason": str(exc)})
+        checked += len(idx)
     return {"group": group.name, "p": p, "checked": checked, "failures": failures}
 
 
@@ -408,80 +495,43 @@ def enumerate_cyclic_ideals(
     threads: int = 1,
     sample: int | None = None,
     sample_seed: int = 0,
+    orbits: SweepOrbits | None = None,
 ) -> list[tuple[int, GCode]]:
     """Deduplicated single-generator ideals, tagged by the smallest generator
-    index, in order of first appearance."""
-    n, p = group.order, field.p
-    divs = _digit_divisors(n, p)
-    idx_mat = group.table[:, group.inverse].T.copy()
+    index, in order of that index.
 
-    if p == 2:
-        W = _translate_weights(group)
-
-        def work(bounds: tuple[int, int]) -> dict[tuple, int]:
-            lo, hi = bounds
-            idx = np.arange(lo, hi, dtype=np.int64)
-            bits = ((idx[:, None] >> np.arange(n)) & 1).astype(np.int64)
-            col_masks = bits @ W
-            found: dict[tuple, int] = {}
-            for t_local in range(hi - lo):
-                key = linalg.f2_rref(col_masks[t_local].tolist())
-                if key not in found:
-                    found[key] = lo + t_local
-            return found
-
-    else:
-
-        def work(bounds: tuple[int, int]) -> dict[bytes, tuple[int, np.ndarray]]:
-            lo, hi = bounds
-            idx = np.arange(lo, hi, dtype=np.int64)
-            digits = (idx[:, None] // divs) % p
-            found: dict[bytes, tuple[int, np.ndarray]] = {}
-            for t_local in range(hi - lo):
-                basis = linalg.rref(digits[t_local][idx_mat], field)
-                key = basis.key()
-                if key not in found:
-                    found[key] = (lo + t_local, basis.matrix)
-            return found
-
+    Exhaustive mode eliminates one generator per orbit of f -> c*f*g (taken
+    from `orbits`, computed here when not given); the tags equal those of a
+    generator-by-generator sweep because the generators of an ideal form a
+    union of orbits.  Sampled mode draws `sample` indices (with replacement)
+    and eliminates exactly those, batched like the orbit minima.  `threads`
+    is accepted for interface stability; elimination runs in one thread.
+    """
     if sample is None:
-        ranges = _chunk_ranges(p**n)
+        if orbits is None:
+            orbits = sweep_orbits(group, field)
+        found = orbits.ideals
     else:
-        rng = np.random.default_rng(sample_seed)
-        picks = sorted(
-            int(i) for i in rng.integers(1, p**n, size=sample, dtype=np.int64)
-        )
-        ranges = [(i, i + 1) for i in picks]
-    results = _run_chunks(work, ranges, threads)
-
-    merged: dict = {}
-    for part in results:
-        for key, val in part.items():
-            if key not in merged or _first_index(val) < _first_index(merged[key]):
-                merged[key] = val
+        picks = _sample_indices(field.p**group.order, sample, sample_seed)
+        found = _eliminate(picks, group, field)[1]
     out: list[tuple[int, GCode]] = []
-    for key, val in sorted(merged.items(), key=lambda kv: _first_index(kv[1])):
-        if p == 2:
-            rows = linalg.f2_rows_to_matrix(list(key), n)
-            pivots = [int(m & -m).bit_length() - 1 for m in key]
-            basis = linalg.RowBasis(rows, pivots, field)
-            out.append((_first_index(val), GCode(group, basis)))
-        else:
-            basis = linalg.rref(val[1], field, width=n)
-            out.append((val[0], GCode(group, basis)))
+    for fidx, rows in found:
+        pivots = (rows != 0).argmax(axis=1)
+        out.append((fidx, GCode(group, linalg.RowBasis(rows, pivots, field))))
     return out
 
 
-def _first_index(val) -> int:
-    return val if isinstance(val, int) else val[0]
-
-
 def verify_bound(
-    group: Group, field: PrimeField, threads: int = 1, guard: int | None = None
+    group: Group,
+    field: PrimeField,
+    threads: int = 1,
+    guard: int | None = None,
+    ideals: list[tuple[int, GCode]] | None = None,
 ) -> dict:
     """Every cyclic ideal satisfies the product and sum bounds; over a binary
     2-group every proper ideal has even minimum distance."""
-    ideals = enumerate_cyclic_ideals(group, field, threads=threads)
+    if ideals is None:
+        ideals = enumerate_cyclic_ideals(group, field, threads=threads)
     failures: list[dict] = []
     even_rule = field.p == 2 and is_p_group(group, 2)
     for fidx, code in ideals:
@@ -502,11 +552,16 @@ def verify_bound(
 
 
 def verify_equality(
-    group: Group, field: PrimeField, threads: int = 1, guard: int | None = None
+    group: Group,
+    field: PrimeField,
+    threads: int = 1,
+    guard: int | None = None,
+    ideals: list[tuple[int, GCode]] | None = None,
 ) -> dict:
     """The equality witnesses exist exactly on the d*k = |G| ideals, induced
     spans round-trip, and idempotents appear exactly off the characteristic."""
-    ideals = enumerate_cyclic_ideals(group, field, threads=threads)
+    if ideals is None:
+        ideals = enumerate_cyclic_ideals(group, field, threads=threads)
     failures: list[dict] = []
     for fidx, code in ideals:
         try:
@@ -540,12 +595,17 @@ _PAIRWISE_PRODUCT_CAP = 8  # group order up to which all ideal pairs are multipl
 
 
 def verify_schur(
-    group: Group, field: PrimeField, threads: int = 1, guard: int | None = None
+    group: Group,
+    field: PrimeField,
+    threads: int = 1,
+    guard: int | None = None,
+    ideals: list[tuple[int, GCode]] | None = None,
 ) -> dict:
     """Schur-square clauses on every cyclic ideal, fixed-point extraction on
     the Schur-fixed ones, chain stabilization over F_2, and (on small groups)
     closure of every pairwise product."""
-    ideals = enumerate_cyclic_ideals(group, field, threads=threads)
+    if ideals is None:
+        ideals = enumerate_cyclic_ideals(group, field, threads=threads)
     failures: list[dict] = []
     for fidx, code in ideals:
         try:
@@ -586,11 +646,16 @@ def verify_schur(
 def verify_all(
     group: Group, field: PrimeField, threads: int = 1, guard: int | None = None
 ) -> dict:
+    """All four sweeps, sharing one orbit pass and one ideal enumeration."""
+    orbits = sweep_orbits(group, field)
+    uncertainty = verify_uncertainty(group, field, threads=threads, orbits=orbits)
+    ideals = enumerate_cyclic_ideals(group, field, threads=threads, orbits=orbits)
+    shared = {"threads": threads, "guard": guard, "ideals": ideals}
     sections = {
-        "uncertainty": verify_uncertainty(group, field, threads=threads),
-        "bound": verify_bound(group, field, threads=threads, guard=guard),
-        "equality": verify_equality(group, field, threads=threads, guard=guard),
-        "schur": verify_schur(group, field, threads=threads, guard=guard),
+        "uncertainty": uncertainty,
+        "bound": verify_bound(group, field, **shared),
+        "equality": verify_equality(group, field, **shared),
+        "schur": verify_schur(group, field, **shared),
     }
     failures = [
         dict(section=name, **f) for name, rep in sections.items() for f in rep["failures"]

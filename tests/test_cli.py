@@ -1,4 +1,5 @@
 import json
+import time
 
 from gcodelab import cli
 
@@ -210,3 +211,15 @@ def test_group_show(capsys):
     code, lines = run_lines(capsys, ["group", "show", "--group", "cyclic:2"])
     assert code == 0
     assert lines[0] == "C2: order 2"
+
+
+def test_sampled_verify_up_stays_sub_second(capsys):
+    # sampled sweeps eliminate only the drawn generators; a pass over all
+    # 2^30 or 3^24 generator indices would take minutes here
+    for spec, p in (("cyclic:30", "2"), ("symmetric:4", "3")):
+        t0 = time.perf_counter()
+        argv = ["verify", "up", "--group", spec, "--p", p, "--sample", "5", "--json"]
+        code, lines = run_lines(capsys, argv)
+        elapsed = time.perf_counter() - t0
+        assert code == 0 and json.loads(lines[0])["checked"] == 5
+        assert elapsed < 1.0, f"sampled verify up on {spec} took {elapsed:.2f}s"

@@ -9,7 +9,7 @@ from gcodelab import linalg, schur
 from gcodelab.errors import GuardExceeded
 from gcodelab.ffield import PrimeField
 from gcodelab.galg import AlgElem
-from gcodelab.groups import Subgroup, make_cyclic, make_elementary_abelian
+from gcodelab.groups import Group, Subgroup, make_cyclic, make_elementary_abelian
 from gcodelab.theorems import enumerate_cyclic_ideals
 
 F2, F3 = PrimeField(2), PrimeField(3)
@@ -155,7 +155,7 @@ def test_code_json_round_trip(tmp_path):
     path = tmp_path / "code.json"
     gc.save_code(code, str(path))
     loaded = gc.load_code(str(path))
-    assert linalg.equal_spaces(loaded.basis, code.basis)
+    assert loaded.basis == code.basis
     assert loaded.params() == code.params()
 
     data = json.loads(path.read_text())
@@ -184,3 +184,15 @@ def test_non_ideal_basis_rejected_on_load(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         gc.load_code(str(path))
+
+
+def test_equality_and_key_depend_on_the_group():
+    # the same basis over C4 and over C2 x C2 spans ideals of different algebras
+    c4, v4 = gc.full_algebra(C4, F2), gc.full_algebra(make_elementary_abelian(2, 2), F2)
+    assert c4.basis == v4.basis
+    assert c4 != v4 and c4.key() != v4.key() and hash(c4) != hash(v4)
+    assert len({c4, v4}) == 2
+    # a separately built group with the same Cayley table gives equal codes
+    twin = Group(C4.table, labels=C4.labels, name="twin")
+    same = gc.full_algebra(twin, F2)
+    assert same == c4 and same.key() == c4.key() and hash(same) == hash(c4)

@@ -78,10 +78,37 @@ def test_contains_examples():
 def test_equal_spaces_canonical():
     rep1 = linalg.rref([[1, 1, 1]], F2)
     rep2 = linalg.rref([[1, 1, 1], [0, 0, 0]], F2)
-    assert linalg.equal_spaces(rep1, rep2)
+    assert rep1 == rep2
     sub = linalg.rref([[1, 0, 0]], F2)
     full = linalg.rref(np.eye(3, dtype=np.int64), F2)
-    assert not linalg.equal_spaces(sub, full)
+    assert sub != full
+
+
+@pytest.mark.parametrize(
+    "matrix, pivots, field",
+    [
+        ([[1, 3]], (0,), F3),  # entry not a canonical residue
+        ([[1, -1]], (0,), F3),  # negative entry
+        ([[0, 1], [1, 0]], (1, 0), F2),  # pivots decrease
+        ([[1, 0], [0, 1]], (0, 0), F2),  # pivots repeat
+        ([[1, 0]], (2,), F2),  # pivot outside the matrix
+        ([[0, 1]], (-1,), F2),  # negative pivot
+        ([[2, 1]], (0,), F3),  # pivot entry not 1
+        ([[1, 1], [1, 1]], (0, 1), F2),  # pivot column 1 not elsewhere 0
+        ([[1, 0, 0], [1, 0, 1]], (0, 2), F2),  # pivot column 0 not elsewhere 0
+        ([[0, 1, 0], [1, 0, 1]], (1, 2), F2),  # nonzero left of a pivot
+        ([[1, 0, 1], [0, 1, 1]], (0,), F2),  # one pivot per row
+    ],
+)
+def test_rowbasis_rejects_each_invariant_violation(matrix, pivots, field):
+    with pytest.raises(ValueError):
+        linalg.RowBasis(np.array(matrix), pivots, field)
+
+
+def test_rowbasis_accepts_canonical_and_empty_bases():
+    b = linalg.RowBasis(np.array([[1, 2, 0], [0, 0, 1]]), (0, 2), F3)
+    assert b.dim == 2 and b.pivots == (0, 2)
+    assert linalg.RowBasis(np.zeros((0, 4), dtype=np.int64), (), F2).dim == 0
 
 
 def test_rowbasis_validation_rejects_junk():
@@ -168,3 +195,80 @@ def test_f2_rank_limit_short_circuits():
     eye_rows = [1 << i for i in range(20)]
     assert linalg.f2_rank(eye_rows, limit=5) == 6
     assert linalg.f2_rank(eye_rows[:4], limit=5) == 4
+
+
+def _stack_matrix(kind: str, p: int, rows: int, cols: int, seed: int) -> np.ndarray:
+    """A zero, full-rank, rank-deficient or uniformly random rows x cols matrix."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, p, size=(rows, cols))
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=np.int64)
+    if kind == "full":
+        k = min(rows, cols)
+        upper = np.triu(rng.integers(0, p, size=(k, cols)))
+        upper[np.arange(k), np.arange(k)] = rng.integers(1, p, size=k)
+        m[:k] = upper
+        m[k:] = (rng.integers(0, p, size=(rows - k, k)) @ upper) % p
+        return m[rng.permutation(rows)]
+    if kind == "deficient" and rows >= 2:
+        m[-1] = (m[0] * rng.integers(0, p) + m[-2]) % p
+    return m
+
+
+stack_cases = st.tuples(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=7),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["zero", "full", "deficient", "random"]),
+            st.integers(min_value=0, max_value=2**32 - 1),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(stack_cases)
+def test_rref_stack_matches_rref_and_oracle(case):
+    p, rows, cols, kinds = case
+    field = PrimeField(p)
+    matrices = [_stack_matrix(kind, p, rows, cols, seed) for kind, seed in kinds]
+    stack = np.array(matrices, dtype=np.int64).reshape(len(kinds), rows, cols)
+    reduced, ranks = linalg.rref_stack(stack, field)
+    assert reduced.shape == stack.shape and ranks.shape == (len(kinds),)
+    for b, (kind, _) in enumerate(kinds):
+        ref = linalg.rref(stack[b], field, width=cols)
+        assert ranks[b] == ref.dim == oracles.rank_mod_p(stack[b].tolist(), p)
+        assert np.array_equal(reduced[b, : ref.dim], ref.matrix)
+        assert not reduced[b, ref.dim :].any()
+        if kind == "zero":
+            assert ranks[b] == 0
+        if kind == "full":
+            assert ranks[b] == min(rows, cols)
+
+
+def test_rref_stack_single_matrix_and_rejects_flat_input():
+    m = np.array([[[2, 1, 0], [1, 2, 0], [0, 0, 4]]])
+    reduced, ranks = linalg.rref_stack(m, F5)
+    assert ranks.tolist() == [3]
+    assert np.array_equal(reduced[0], np.eye(3, dtype=np.int64))
+    reduced, ranks = linalg.rref_stack(np.array([[[1, 1], [1, 1]]]), F2)
+    assert ranks.tolist() == [1] and reduced[0].tolist() == [[1, 1], [0, 0]]
+    with pytest.raises(ValueError):
+        linalg.rref_stack(np.eye(3, dtype=np.int64), F3)
+
+
+@pytest.mark.parametrize("p", [181, 65521])
+def test_rref_stack_large_moduli_stay_exact(p):
+    # large p pushes the unreduced entries past int16 (and int32 at 65521)
+    field = PrimeField(p)
+    stack = np.random.default_rng(p).integers(0, p, size=(4, 6, 8))
+    stack[1, 5] = (stack[1, 0] * (p - 1) + stack[1, 2]) % p
+    reduced, ranks = linalg.rref_stack(stack, field)
+    for b in range(4):
+        ref = linalg.rref(stack[b], field)
+        assert ranks[b] == ref.dim
+        assert np.array_equal(reduced[b, : ref.dim], ref.matrix)

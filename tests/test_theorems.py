@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from gcodelab import constructions, gcode as gc, theorems
+from gcodelab import constructions, gcode as gc, linalg, theorems
 from gcodelab.errors import UnsupportedCover
 from gcodelab.ffield import PrimeField
 from gcodelab.galg import AlgElem
 from gcodelab.groups import (
     Subgroup,
+    from_spec,
     make_cyclic,
     make_elementary_abelian,
     make_symmetric,
@@ -204,3 +205,116 @@ def test_restricted_rank_is_line_detector():
     assert theorems._restricted_rank(c, sub) == 1
     unit = AlgElem.basis_elem(C2, F3, 0)
     assert theorems._restricted_rank(unit, Subgroup(C2, [0])) == 1
+
+
+def _unpruned_ideals(group, field):
+    """Reference sweep: every nonzero generator eliminated on its own, through
+    its multiplication matrix, deduplicated by first appearance."""
+    n, p = group.order, field.p
+    seen = {}
+    for fidx in range(1, p**n):
+        coeffs = [(fidx // p**i) % p for i in range(n)]
+        f = AlgElem(group, field, coeffs)
+        key = linalg.rref(f.multiplication_matrix().T, field, width=n).key()
+        seen.setdefault(key, fidx)
+    return sorted((fidx, key) for key, fidx in seen.items())
+
+
+@pytest.mark.parametrize(
+    "spec, p",
+    [
+        ("cyclic:8", 2),
+        ("dihedral:4", 2),
+        ("quaternion8", 2),
+        ("symmetric:3", 2),
+        ("symmetric:3", 3),
+        ("elemabelian:3,2", 3),
+    ],
+)
+def test_orbit_pruned_enumeration_matches_unpruned_reference(spec, p):
+    group, field = from_spec(spec), PrimeField(p)
+    pruned = theorems.enumerate_cyclic_ideals(group, field)
+    assert [(i, c.basis.key()) for i, c in pruned] == _unpruned_ideals(group, field)
+
+
+def test_sweep_orbits_ranks_match_matrix_rank():
+    group = make_symmetric(3)
+    orbits = theorems.sweep_orbits(group, F2)
+    assert orbits.rank_of[0] == 0
+    for fidx in range(1, 2**6):
+        f = AlgElem(group, F2, [(fidx >> i) & 1 for i in range(6)])
+        assert orbits.rank_of[fidx] == linalg.rank(f.multiplication_matrix(), F2)
+
+
+def test_uncertainty_audit_catches_a_wrong_rank_lookup():
+    group = make_cyclic(4)
+    orbits = theorems.sweep_orbits(group, F2)
+    orbits.rank_of[5] += 1  # a corrupted orbit lookup
+    rep = theorems.verify_uncertainty(group, F2, crosscheck_stride=1, orbits=orbits)
+    assert [f["f"] for f in rep["failures"]] == [5]
+    assert "fast path disagrees with matrix path" in rep["failures"][0]["reason"]
+    clean = theorems.verify_uncertainty(group, F2, crosscheck_stride=1)
+    assert clean["failures"] == [] and clean["checked"] == 15
+
+
+def test_verify_all_enumerates_once(monkeypatch):
+    calls = {"enumerate": 0, "orbits": 0}
+    enumerate_ideals = theorems.enumerate_cyclic_ideals
+    sweep_orbits = theorems.sweep_orbits
+
+    def counted_enumerate(*args, **kwargs):
+        calls["enumerate"] += 1
+        return enumerate_ideals(*args, **kwargs)
+
+    def counted_orbits(*args, **kwargs):
+        calls["orbits"] += 1
+        return sweep_orbits(*args, **kwargs)
+
+    monkeypatch.setattr(theorems, "enumerate_cyclic_ideals", counted_enumerate)
+    monkeypatch.setattr(theorems, "sweep_orbits", counted_orbits)
+    rep = theorems.verify_all(C8, F2)
+    assert rep["failures"] == []
+    assert calls == {"enumerate": 1, "orbits": 1}
+
+
+# `verify all --json` recorded before the orbit-pruned sweep engine existed
+VERIFY_ALL_GOLDEN = {
+    ("dihedral:4", 2): (
+        '{"checked":502,"failures":[],"group":"D4","p":2,"sections":{'
+        '"bound":{"checked":19,"failures":[],"group":"D4","p":2},'
+        '"equality":{"checked":19,"failures":[],"group":"D4","p":2},'
+        '"schur":{"checked":209,"failures":[],"group":"D4","p":2},'
+        '"uncertainty":{"checked":255,"failures":[],"group":"D4","p":2}}}\n'
+    ),
+    ("quaternion8", 2): (
+        '{"checked":354,"failures":[],"group":"Q8","p":2,"sections":{'
+        '"bound":{"checked":11,"failures":[],"group":"Q8","p":2},'
+        '"equality":{"checked":11,"failures":[],"group":"Q8","p":2},'
+        '"schur":{"checked":77,"failures":[],"group":"Q8","p":2},'
+        '"uncertainty":{"checked":255,"failures":[],"group":"Q8","p":2}}}\n'
+    ),
+    ("symmetric:3", 3): (
+        '{"checked":1073,"failures":[],"group":"S3","p":3,"sections":{'
+        '"bound":{"checked":23,"failures":[],"group":"S3","p":3},'
+        '"equality":{"checked":23,"failures":[],"group":"S3","p":3},'
+        '"schur":{"checked":299,"failures":[],"group":"S3","p":3},'
+        '"uncertainty":{"checked":728,"failures":[],"group":"S3","p":3}}}\n'
+    ),
+    ("cyclic:5", 5): (
+        '{"checked":3154,"failures":[],"group":"C5","p":5,"sections":{'
+        '"bound":{"checked":5,"failures":[],"group":"C5","p":5},'
+        '"equality":{"checked":5,"failures":[],"group":"C5","p":5},'
+        '"schur":{"checked":20,"failures":[],"group":"C5","p":5},'
+        '"uncertainty":{"checked":3124,"failures":[],"group":"C5","p":5}}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, p", sorted(VERIFY_ALL_GOLDEN))
+def test_verify_all_json_matches_golden(spec, p, capsys):
+    from gcodelab import cli
+
+    for threads in ("1", "2"):
+        argv = ["verify", "all", "--group", spec, "--p", str(p), "--json"]
+        assert cli.run(argv + ["--threads", threads]) == 0
+        assert capsys.readouterr().out == VERIFY_ALL_GOLDEN[(spec, p)]
