@@ -8,7 +8,7 @@ structural statements on concrete small groups.
 
 from .constructions import GolaySearchResult, golay_search, reed_muller, rm_schur_square_check
 from .errors import GuardExceeded, UnsupportedCover, VerificationError
-from .ffield import FieldElem, PrimeField
+from .ffield import PrimeField
 from .galg import AlgElem
 from .gcode import (
     GCode,
@@ -44,7 +44,6 @@ from .groups import (
 from .linalg import RowBasis, kernel, rank, rref, subspace_intersect, subspace_sum
 from .schur import (
     SchurChainReport,
-    binary_chain_monotone_check,
     fixed_point_structure,
     schur_power_chain,
     schur_product,

@@ -294,8 +294,7 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_search_golay(args, parser) -> int:
-    threads = args.threads or _default_threads()
-    result = constructions.golay_search(args.budget, args.seed, threads=threads)
+    result = constructions.golay_search(args.budget, args.seed)
     if result is None:
         payload = {"found": False, "budget": args.budget, "seed": args.seed}
         print(_dump(payload) if args.json else f"no hit within {args.budget} trials")

@@ -9,7 +9,6 @@ preserves degree), not merely equivalent to one.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -102,16 +101,14 @@ _GOLAY_DIST = 8
 _SEARCH_CHUNK = 1 << 15
 
 
-def golay_search(
-    budget: int, seed: int, threads: int = 1
-) -> GolaySearchResult | None:
+def golay_search(budget: int, seed: int) -> GolaySearchResult | None:
     """Sample single generators f in the binary algebra of S4 and return the
     first trial whose ideal verifies as a [24,12,8] self-dual code.
 
     Trials draw 24-bit coefficient masks from one Philox stream keyed by the
     seed, so the outcome (and the winning trial index) depends only on
-    (budget, seed); workers only split verified chunks, never the stream.
-    Exhausting the budget without a hit returns None, a normal outcome.
+    (budget, seed).  Exhausting the budget without a hit returns None, a
+    normal outcome.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -121,8 +118,7 @@ def golay_search(
     weights = np.int64(1) << group.table.astype(np.int64)
     rng = np.random.Generator(np.random.Philox(key=seed))
 
-    def scan(args: tuple[int, np.ndarray]) -> tuple[int, int] | None:
-        start, masks = args
+    def scan(start: int, masks: np.ndarray) -> tuple[int, int] | None:
         bits = ((masks[:, None] >> np.arange(n)) & 1).astype(np.int64)
         col_masks = bits @ weights
         for t in range(masks.shape[0]):
@@ -140,31 +136,13 @@ def golay_search(
             return start + t, int(masks[t])
         return None
 
-    pending: list = []
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     hit: tuple[int, int] | None = None
-    try:
-        produced = 0
-        while produced < budget:
-            size = min(_SEARCH_CHUNK, budget - produced)
-            masks = rng.integers(0, 1 << n, size=size, dtype=np.int64)
-            job = (produced, masks)
-            produced += size
-            if pool is None:
-                hit = scan(job)
-                if hit is not None:
-                    break
-            else:
-                pending.append(pool.submit(scan, job))
-                if len(pending) >= 2 * threads:
-                    hit = _drain_ordered(pending, len(pending) // 2)
-                    if hit is not None:
-                        break
-        if hit is None and pool is not None:
-            hit = _drain_ordered(pending, len(pending))
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+    produced = 0
+    while hit is None and produced < budget:
+        size = min(_SEARCH_CHUNK, budget - produced)
+        masks = rng.integers(0, 1 << n, size=size, dtype=np.int64)
+        hit = scan(produced, masks)
+        produced += size
     if hit is None:
         return None
     trial, mask = hit
@@ -178,17 +156,3 @@ def golay_search(
     if rep.product != _GOLAY_DIM * _GOLAY_DIST:
         raise VerificationError("parameter product mismatch")
     return GolaySearchResult(code, trial, gen)
-
-
-def _drain_ordered(pending: list, count: int) -> tuple[int, int] | None:
-    """Resolve the oldest futures in submission order; chunks are keyed by
-    start index, so the first hit seen here is the global earliest."""
-    hit = None
-    for _ in range(count):
-        if not pending:
-            break
-        result = pending.pop(0).result()
-        if result is not None:
-            hit = result
-            break
-    return hit

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 MAX_MODULUS = 1 << 16
 
 
@@ -49,17 +47,8 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse via the extended Euclidean algorithm."""
@@ -73,47 +62,3 @@ class PrimeField:
             r0, r1 = r1, r0 - q * r1
             s0, s1 = s1, s0 - q * s1
         return s0 % self.p
-
-    def element(self, value: int) -> "FieldElem":
-        return FieldElem(value, self)
-
-
-@dataclass(frozen=True)
-class FieldElem:
-    """A residue in F_p, normalized to {0, ..., p-1} at construction."""
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.field.p)
-
-    def _check(self, other: "FieldElem") -> None:
-        if self.field != other.field:
-            raise ValueError(
-                f"modulus mismatch: {self.field.p} vs {other.field.p}"
-            )
-
-    def __add__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.value + other.value, self.field)
-
-    def __sub__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.value - other.value, self.field)
-
-    def __mul__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.value * other.value, self.field)
-
-    def __neg__(self) -> "FieldElem":
-        return FieldElem(-self.value, self.field)
-
-    def inverse(self) -> "FieldElem":
-        return FieldElem(self.field.inv(self.value), self.field)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"

@@ -113,10 +113,13 @@ class AlgElem:
 
     # --- plumbing ---
 
-    def _check(self, other: "AlgElem") -> None:
-        if self.group is not other.group and not np.array_equal(
+    def _same_group(self, other: "AlgElem") -> bool:
+        return self.group is other.group or np.array_equal(
             self.group.table, other.group.table
-        ):
+        )
+
+    def _check(self, other: "AlgElem") -> None:
+        if not self._same_group(other):
             raise ValueError("elements live over different groups")
         if self.field != other.field:
             raise ValueError(
@@ -142,6 +145,7 @@ class AlgElem:
             isinstance(other, AlgElem)
             and self.field == other.field
             and bool(np.array_equal(self.coeffs, other.coeffs))
+            and self._same_group(other)
         )
 
     def __hash__(self) -> int:

@@ -3,7 +3,8 @@
 A GCode owns a canonical RowBasis of width |G|; construction verifies closure
 under right translation by every group element, so an existing GCode is an
 ideal by construction.  Minimum distance is exact, by full codeword
-enumeration behind a guard (never an approximation).
+enumeration behind a guard (never an approximation).  A GCode is immutable,
+so it scans its codewords at most once and keeps the result.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def enumeration_guard() -> int:
 class GCode:
     """A right ideal of F_p[G], stored by its canonical basis."""
 
-    __slots__ = ("group", "basis")
+    __slots__ = ("group", "basis", "_scan")
 
     def __init__(self, group: Group, basis: RowBasis):
         if basis.ambient != group.order:
@@ -46,6 +47,7 @@ class GCode:
             raise ValueError("basis does not span a right ideal")
         self.group = group
         self.basis = basis
+        self._scan: tuple[int, int] | None = None
 
     @property
     def field(self) -> PrimeField:
@@ -93,14 +95,14 @@ class GCode:
 
     def min_distance(self, guard: int | None = None, threads: int = 1) -> int:
         """Exact minimum weight of a nonzero codeword, by full enumeration."""
-        return self._min_scan(guard, threads)[0]
+        return self._minimum(guard, threads)[0]
 
     def min_weight_codeword(
         self, guard: int | None = None, threads: int = 1
     ) -> AlgElem:
         """The minimum-weight codeword that comes first in the lexicographic
         enumeration of message vectors (deterministic)."""
-        _, msg = self._min_scan(guard, threads)
+        _, msg = self._minimum(guard, threads)
         k, p = self.dim, self.field.p
         divs = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
         digits = (msg // divs) % p
@@ -108,16 +110,25 @@ class GCode:
             self.group, self.field, (digits @ self.basis.matrix) % p
         )
 
-    def _min_scan(self, guard: int | None, threads: int) -> tuple[int, int]:
+    def _minimum(self, guard: int | None, threads: int) -> tuple[int, int]:
+        """(minimum weight, first message index reaching it).  The guard is
+        checked on every call; the scan runs on the first one only, and its
+        result does not depend on `threads`."""
         if self.dim == 0:
             raise ValueError("the zero code has no minimum distance")
         guard = enumeration_guard() if guard is None else guard
         k, p = self.dim, self.field.p
-        total = p**k
-        if total > guard:
+        if p**k > guard:
             raise GuardExceeded(
                 f"{p}^{k} codewords exceed the enumeration guard {guard}"
             )
+        if self._scan is None:
+            self._scan = self._min_scan(threads)
+        return self._scan
+
+    def _min_scan(self, threads: int) -> tuple[int, int]:
+        k, p = self.dim, self.field.p
+        total = p**k
         B = self.basis.matrix
         divs = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
 

@@ -325,12 +325,3 @@ def f2_rows_to_matrix(rows: Sequence[int], width: int) -> np.ndarray:
             v ^= low
     return out
 
-
-def matrix_to_f2_rows(matrix: np.ndarray) -> list[int]:
-    masks = []
-    for row in np.asarray(matrix) % 2:
-        m = 0
-        for c in np.nonzero(row)[0]:
-            m |= 1 << int(c)
-        masks.append(m)
-    return masks

@@ -27,7 +27,6 @@ __all__ = [
     "schur_product",
     "schur_power_chain",
     "fixed_point_structure",
-    "binary_chain_monotone_check",
     "SchurChainReport",
 ]
 
@@ -75,9 +74,11 @@ class SchurChainReport:
 def schur_power_chain(code: GCode, max_t: int | None = None) -> SchurChainReport:
     """Iterate t -> t+1 powers until the code sequence repeats.
 
-    Over F_2 the chain must end in a fixed code induced from a subgroup that
-    contains the starting code; both facts are verified here.  If max_t runs
-    out first, a partial report is returned with complete=False.
+    Over F_2, c * c = c entrywise, so every power lies inside the next one:
+    the code sits in its square, the 2-power subsequence ascends, and the
+    chain ends in a fixed code containing the start.  Each step is checked,
+    and the fixed code must be induced from a subgroup.  If max_t runs out
+    first, a partial report is returned with complete=False.
     """
     if code.is_zero():
         raise ValueError("power chain needs a nonzero code")
@@ -92,6 +93,8 @@ def schur_power_chain(code: GCode, max_t: int | None = None) -> SchurChainReport
         nxt = schur_product(codes[-1], code)
         if nxt.dim < codes[-1].dim:
             raise VerificationError("power dimension decreased along the chain")
+        if code.field.p == 2 and not codes[-1].issubset(nxt):
+            raise VerificationError("binary power chain failed to ascend")
         t = len(codes) + 1
         prev = seen.get(nxt.key())
         if prev is not None:
@@ -111,10 +114,6 @@ def schur_power_chain(code: GCode, max_t: int | None = None) -> SchurChainReport
     if period == 1:
         stabilized = codes[-1]
         stabilizer = fixed_point_structure(stabilized)
-        if code.field.p == 2 and not code.issubset(stabilized):
-            raise VerificationError(
-                "binary chain stabilized to a code not containing the start"
-            )
     return SchurChainReport(
         dims, regularity, period, stabilized, stabilizer, True, codes
     )
@@ -147,34 +146,3 @@ def fixed_point_structure(code: GCode) -> Subgroup:
     if induced != code:
         raise VerificationError("code differs from the induced span it should equal")
     return sub
-
-
-def binary_chain_monotone_check(code: GCode, max_t: int | None = None) -> dict:
-    """Over F_2: squaring fixes coefficient vectors, the code sits inside its
-    Schur square, and the 2-power subsequence of the chain is ascending."""
-    if code.field.p != 2:
-        raise ValueError("this check is specific to the binary field")
-    if code.is_zero():
-        raise ValueError("needs a nonzero code")
-    square = schur_product(code, code)
-    # c * c = c entrywise over F_2, so injectivity of squaring is immediate;
-    # the content is that every basis row lies in the square.
-    square_contains_code = square.basis.contains_rows(code.basis.matrix)
-    chain = schur_power_chain(code, max_t=max_t)
-    tower_ok = True
-    i = 0
-    while chain.complete and 2 ** (i + 1) <= len(chain.codes):
-        lo = chain.codes[2**i - 1]
-        hi = chain.codes[2 ** (i + 1) - 1]
-        if not lo.issubset(hi):
-            tower_ok = False
-        i += 1
-    verdict = {
-        "square_contains_code": bool(square_contains_code),
-        "power_tower_ascending": bool(tower_ok),
-        "chain_complete": chain.complete,
-        "ok": bool(square_contains_code and tower_ok and chain.complete),
-    }
-    if not verdict["ok"]:
-        raise VerificationError(f"binary monotonicity failed: {verdict}")
-    return verdict

@@ -108,12 +108,12 @@ def equality_analysis(
         raise ValueError("equality analysis needs a nonzero code")
     group, field = code.group, code.field
     n, k = code.length, code.dim
-    d = code.min_distance(guard=guard, threads=threads)
+    word = code.min_weight_codeword(guard=guard, threads=threads)
+    d = word.weight()
     if d * k != n:
         if d * k < n:
             raise VerificationError("distance-dimension product fell below length")
         return None
-    word = code.min_weight_codeword(guard=guard, threads=threads)
     h0 = min(word.support())
     c = word.right_translate(int(group.inverse[h0]))
     members = sorted(c.support())
@@ -214,9 +214,13 @@ def schur_square_theorem_check(code: GCode) -> dict:
     self-orthogonality; returns the fired clauses."""
     if code.is_zero():
         raise ValueError("needs a nonzero code")
-    group, field = code.group, code.field
+    return _square_clauses(code, schur.schur_product(code, code))
+
+
+def _square_clauses(code: GCode, square: GCode) -> dict:
+    """The clauses of schur_square_theorem_check, on a square already formed."""
+    group = code.group
     n, k, p = code.length, code.dim, code.field.p
-    square = schur.schur_product(code, code)
     so = code.is_self_orthogonal()
     pgrp = is_p_group(group, p)
     clauses: list[str] = []
@@ -329,7 +333,10 @@ def _translate_weights(group: Group) -> np.ndarray:
 
 
 def _generator_digits(idx: np.ndarray, n: int, p: int) -> np.ndarray:
-    return (idx[:, None] // p ** np.arange(n, dtype=np.int64)) % p
+    """Digit vectors of int64 indices, or of Python-int indices held in an
+    object array (sampled sweeps past int64)."""
+    digits = (idx[:, None] // p ** np.arange(n, dtype=idx.dtype)) % p
+    return digits.astype(np.int64, copy=False)
 
 
 def _translate_index(group: Group) -> np.ndarray:
@@ -342,9 +349,18 @@ def _chunk_ranges(total: int, chunk: int = _SWEEP_CHUNK) -> list[tuple[int, int]
     return [(lo, min(lo + chunk, total)) for lo in range(1, total, chunk)]
 
 
-def _sample_indices(total: int, sample: int, seed: int) -> np.ndarray:
+def _sample_indices(n: int, p: int, sample: int, seed: int) -> np.ndarray:
+    """`sample` generator indices in [1, p^n), drawn with replacement, in
+    ascending order.  When p^n - 1 does not fit in int64 the digit vectors
+    are drawn instead (nonzero ones) and the indices are Python ints in an
+    object array."""
     rng = np.random.default_rng(seed)
-    return np.sort(rng.integers(1, total, size=sample, dtype=np.int64))
+    if p**n <= 1 << 63:
+        return np.sort(rng.integers(1, p**n, size=sample, dtype=np.int64))
+    digits = rng.integers(0, p, size=(sample, n))
+    while (zero := ~digits.any(axis=1)).any():
+        digits[zero] = rng.integers(0, p, size=(int(zero.sum()), n))
+    return np.sort(digits.astype(object) @ p ** np.arange(n, dtype=object))
 
 
 def _eliminate(
@@ -444,7 +460,7 @@ def verify_uncertainty(
             for lo, hi in _chunk_ranges(p**n)
         )
     else:
-        picks = _sample_indices(p**n, sample, sample_seed)
+        picks = _sample_indices(n, p, sample, sample_seed)
         batches = (
             (idx, _eliminate(idx, group, field)[0])
             for idx in np.split(picks, range(_SWEEP_CHUNK, len(picks), _SWEEP_CHUNK))
@@ -512,7 +528,7 @@ def enumerate_cyclic_ideals(
             orbits = sweep_orbits(group, field)
         found = orbits.ideals
     else:
-        picks = _sample_indices(field.p**group.order, sample, sample_seed)
+        picks = _sample_indices(group.order, field.p, sample, sample_seed)
         found = _eliminate(picks, group, field)[1]
     out: list[tuple[int, GCode]] = []
     for fidx, rows in found:
@@ -609,8 +625,8 @@ def verify_schur(
     failures: list[dict] = []
     for fidx, code in ideals:
         try:
-            schur_square_theorem_check(code)
             square = schur.schur_product(code, code)
+            _square_clauses(code, square)
             if square == code:
                 sub = schur.fixed_point_structure(code)
                 if len(sub) * code.dim != group.order:
@@ -621,7 +637,6 @@ def verify_schur(
                 chain = schur.schur_power_chain(code)
                 if not chain.complete or chain.period != 1:
                     raise VerificationError("binary chain failed to stabilize")
-                schur.binary_chain_monotone_check(code)
         except VerificationError as exc:
             failures.append({"f": fidx, "reason": str(exc)})
     pair_checked = 0

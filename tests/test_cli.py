@@ -223,3 +223,41 @@ def test_sampled_verify_up_stays_sub_second(capsys):
         elapsed = time.perf_counter() - t0
         assert code == 0 and json.loads(lines[0])["checked"] == 5
         assert elapsed < 1.0, f"sampled verify up on {spec} took {elapsed:.2f}s"
+
+
+# `schur power --json` recorded before the power chain took over the binary
+# monotonicity checks: a Schur-fixed code, a growing one, a ternary 2-cycle
+SCHUR_POWER_GOLDEN = {
+    ("cyclic:4", "2", "1,0,1,0"): (
+        '{"complete":true,"dims":[2],"period":1,"regularity":1,'
+        '"stabilized_dim":2,"stabilizer":[0,2]}\n'
+    ),
+    ("cyclic:8", "2", "1,1,0,0,0,0,0,0"): (
+        '{"complete":true,"dims":[7,8],"period":1,"regularity":2,'
+        '"stabilized_dim":8,"stabilizer":[0]}\n'
+    ),
+    ("cyclic:2", "3", "1,2"): (
+        '{"complete":true,"dims":[1,1],"period":2,"regularity":1,'
+        '"stabilized_dim":null,"stabilizer":null}\n'
+    ),
+}
+
+
+def test_schur_power_json_matches_golden(capsys):
+    for (spec, p, gen), expected in SCHUR_POWER_GOLDEN.items():
+        argv = ["schur", "power", "--group", spec, "--p", p, "--gen", gen, "--json"]
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_sampled_sweeps_past_int64(capsys):
+    # 3^40 - 1 generator indices do not fit in int64
+    argv = ["--group", "cyclic:40", "--p", "3", "--sample", "5", "--json"]
+    code, lines = run_lines(capsys, ["verify", "up"] + argv)
+    assert code == 0
+    report = json.loads(lines[0])
+    assert report == {"checked": 5, "failures": [], "group": "C40", "p": 3}
+    # the sampled ideals have 3^38 codewords or more, so the sweep gets past
+    # the draw and stops at the enumeration guard
+    assert cli.run(["search", "sweep"] + argv) == 2
+    assert capsys.readouterr().err.startswith("infeasible: 3^")

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 import oracles
-from gcodelab import constructions, gcode as gc, schur
+from gcodelab import cli, constructions, gcode as gc, schur
 from gcodelab.ffield import PrimeField
 
 F2 = PrimeField(2)
@@ -112,14 +112,17 @@ def test_golay_search_hits_and_verifies():
     assert regenerated == result.code
 
 
-def test_golay_search_reproducible_across_threads():
-    a = constructions.golay_search(20_000, seed=77, threads=1)
-    b = constructions.golay_search(20_000, seed=77, threads=4)
+def test_golay_search_reproducible_across_threads(capsys):
+    # the search runs in one thread; `--threads` is accepted and changes nothing
+    a = constructions.golay_search(20_000, seed=77)
+    b = constructions.golay_search(20_000, seed=77)
     if a is None:
         assert b is None
     else:
         assert b is not None and a.trial == b.trial and a.code == b.code
-    c = constructions.golay_search(20_000, seed=77, threads=2)
-    assert (c is None) == (a is None)
-    if a is not None:
-        assert c.trial == a.trial
+    outs = set()
+    for threads in ("1", "2", "4"):
+        argv = ["search", "golay", "--budget", "20000", "--seed", "77", "--json"]
+        assert cli.run(argv + ["--threads", threads]) == 0
+        outs.add(capsys.readouterr().out)
+    assert len(outs) == 1

@@ -203,3 +203,23 @@ def test_text_round_trip_and_errors():
         AlgElem(C2, F3, [1, 2]).convolve(AlgElem(C2, F2, [1, 1]))
     with pytest.raises(ValueError):
         AlgElem(C2, F3, [1, 2]).schur(AlgElem(C4, F3, [1, 0, 0, 0]))
+
+
+def test_mixed_modulus_rejected():
+    a = AlgElem(make_cyclic(2), F2, [1, 0])
+    b = AlgElem(make_cyclic(2), F3, [1, 0])
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        a * b
+    assert a != b
+
+
+def test_equality_across_groups():
+    # C4 and C2 x C2 share order and field but not their multiplication
+    c4 = AlgElem(make_cyclic(4), F2, [1, 1, 0, 0])
+    klein = AlgElem(make_elementary_abelian(2, 2), F2, [1, 1, 0, 0])
+    assert c4 != klein and klein != c4
+    assert c4 == AlgElem(make_cyclic(4), F2, [1, 1, 0, 0])  # equal tables
+    with pytest.raises(ValueError):
+        c4 + klein

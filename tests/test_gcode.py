@@ -87,11 +87,40 @@ def test_min_distance_env_guard(monkeypatch):
 
 
 def test_min_distance_thread_determinism():
-    code = gc.augmentation_ideal(make_cyclic(12), F2)
-    assert code.min_distance(threads=1) == code.min_distance(threads=3) == 2
-    w1 = code.min_weight_codeword(threads=1)
-    w3 = code.min_weight_codeword(threads=3)
-    assert w1 == w3
+    # 2^15 codewords fill two scan chunks; one code object per thread count,
+    # since a code keeps its first scan
+    one, three = (gc.augmentation_ideal(make_cyclic(16), F2) for _ in range(2))
+    assert one.min_distance(threads=1) == three.min_distance(threads=3) == 2
+    assert one.min_weight_codeword(threads=1) == three.min_weight_codeword(threads=3)
+
+
+def test_min_scan_runs_once_per_code(monkeypatch):
+    scanned = []
+    scan = gc.GCode._min_scan
+
+    def counted(self, threads):
+        scanned.append(self)
+        return scan(self, threads)
+
+    monkeypatch.setattr(gc.GCode, "_min_scan", counted)
+    code = gc.augmentation_ideal(C4, F2)
+    assert code.min_distance() == 2
+    assert code.min_weight_codeword(threads=2).weight() == 2
+    assert code.params().distance == 2
+    assert scanned == [code]
+
+
+def test_cached_scan_still_checks_the_guard(monkeypatch):
+    code = gc.full_algebra(make_cyclic(8), F2)
+    assert code.min_distance() == 1  # scanned and kept
+    for call in (code.min_distance, code.min_weight_codeword, code.params):
+        with pytest.raises(GuardExceeded):
+            call(guard=100)
+    monkeypatch.setenv("GCODELAB_GUARD", "100")
+    with pytest.raises(GuardExceeded):
+        code.min_distance()
+    monkeypatch.delenv("GCODELAB_GUARD")
+    assert code.min_distance(guard=256) == 1
 
 
 def test_min_weight_codeword_is_lex_first():

@@ -184,7 +184,7 @@ def test_f2_fast_path_matches_generic():
     for _ in range(60):
         rows, cols = rng.integers(1, 9, size=2)
         m = rng.integers(0, 2, size=(rows, cols))
-        masks = linalg.matrix_to_f2_rows(m)
+        masks = [int(row @ (1 << np.arange(cols))) for row in m]
         assert linalg.f2_rank(masks) == linalg.rank(m, F2)
         packed = linalg.f2_rref(masks)
         unpacked = linalg.f2_rows_to_matrix(list(packed), int(cols))

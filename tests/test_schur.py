@@ -2,6 +2,7 @@ import pytest
 
 from gcodelab import gcode as gc
 from gcodelab import schur
+from gcodelab.errors import VerificationError
 from gcodelab.ffield import PrimeField
 from gcodelab.galg import AlgElem
 from gcodelab.groups import Subgroup, make_cyclic, make_elementary_abelian
@@ -134,15 +135,24 @@ def test_fixed_points_are_induced_spans_sweep():
                 assert len(sub) * code.dim == group.order
 
 
-def test_binary_chain_monotone_check():
+def test_binary_power_chain_ascends():
+    # over F_2 the chain checks C <= C*C and the ascending 2-power tower
     full = gc.full_algebra(make_cyclic(8), F2)
-    assert schur.binary_chain_monotone_check(full)["ok"]
-    for _, code in enumerate_cyclic_ideals(make_cyclic(8), F2):
-        verdict = schur.binary_chain_monotone_check(code)
-        assert verdict["square_contains_code"] and verdict["power_tower_ascending"]
+    ideals = [code for _, code in enumerate_cyclic_ideals(make_cyclic(8), F2)]
+    for code in [full] + ideals:
+        rep = schur.schur_power_chain(code)
+        assert rep.complete and rep.period == 1
+        square = rep.codes[1] if len(rep.codes) > 1 else rep.stabilized_code
+        assert code.issubset(square)
+        for i in range(len(rep.codes).bit_length() - 1):
+            assert rep.codes[2**i - 1].issubset(rep.codes[2 ** (i + 1) - 1])
 
 
-def test_binary_chain_check_refuses_odd_characteristic():
+def test_binary_power_chain_rejects_a_descent(monkeypatch):
+    even = gc.augmentation_ideal(make_cyclic(8), F2)
+    monkeypatch.setattr(gc.GCode, "issubset", lambda self, other: False)
+    with pytest.raises(VerificationError, match="failed to ascend"):
+        schur.schur_power_chain(even)
+    # the ternary 2-cycle does not ascend, and F_3 runs no such check
     line = gc.ideal_from_generators(C2, F3, [AlgElem(C2, F3, [1, 2])])
-    with pytest.raises(ValueError):
-        schur.binary_chain_monotone_check(line)
+    assert schur.schur_power_chain(line).period == 2

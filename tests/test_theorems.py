@@ -277,6 +277,35 @@ def test_verify_all_enumerates_once(monkeypatch):
     assert calls == {"enumerate": 1, "orbits": 1}
 
 
+def test_verify_all_scans_each_ideal_once(monkeypatch):
+    scanned = {}  # id -> (code, scans); holding the code keeps its id unique
+    scan = gc.GCode._min_scan
+
+    def counted(self, threads):
+        code, count = scanned.get(id(self), (self, 0))
+        scanned[id(self)] = (code, count + 1)
+        return scan(self, threads)
+
+    monkeypatch.setattr(gc.GCode, "_min_scan", counted)
+    rep = theorems.verify_all(C8, F2)
+    assert rep["failures"] == []
+    assert scanned and max(count for _, count in scanned.values()) == 1
+
+
+def test_sample_indices_past_int64():
+    # 3^40 - 1 does not fit in int64: digit vectors are drawn instead
+    picks = theorems._sample_indices(40, 3, 50, seed=1)
+    assert picks.dtype == object and list(picks) == sorted(picks)
+    assert all(1 <= i < 3**40 for i in picks) and max(picks) > 2**63
+    digits = theorems._generator_digits(picks, 40, 3)
+    values = [sum(d * 3**j for j, d in enumerate(row)) for row in digits.tolist()]
+    assert values == list(picks)
+    # where p^n fits, the draws are the int64 ones
+    small = theorems._sample_indices(30, 2, 50, seed=1)
+    expected = np.random.default_rng(1).integers(1, 2**30, size=50, dtype=np.int64)
+    assert small.tolist() == sorted(expected.tolist())
+
+
 # `verify all --json` recorded before the orbit-pruned sweep engine existed
 VERIFY_ALL_GOLDEN = {
     ("dihedral:4", 2): (
