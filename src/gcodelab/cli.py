@@ -265,21 +265,20 @@ def _cmd_verify(args, parser) -> int:
     _require(args, parser, "group", "p")
     group = _resolve_group(args)
     field = _resolve_field(args)
-    threads = args.threads or _default_threads()
     total = field.p**group.order
     if total > _FEASIBLE_ENUM and not args.exhaustive and args.sample is None:
         parser.error(
             f"{field.p}^{group.order} generators exceed the feasibility cap; "
             "pass --exhaustive or --sample N"
         )
-    kwargs: dict = {"threads": threads}
+    kwargs: dict = {}
     if args.subcommand == "up":
         if args.sample is not None:
             kwargs.update(sample=args.sample, sample_seed=args.seed)
     elif args.sample is not None:
         parser.error("--sample applies only to 'verify up' and 'search sweep'")
-    if args.subcommand != "up":
-        kwargs["guard"] = args.guard
+    if args.subcommand in ("bound", "equality", "all"):  # drivers that scan codewords
+        kwargs.update(threads=args.threads or _default_threads(), guard=args.guard)
     report = _VERIFY_DRIVERS[args.subcommand](group, field, **kwargs)
     if args.json:
         print(_dump(report))
@@ -359,7 +358,7 @@ def sweep_report(
     self-orthogonality, and the Schur-square dimension; sorted by descending
     ratio with deterministic tie-breaks."""
     ideals = theorems.enumerate_cyclic_ideals(
-        group, field, threads=threads, sample=sample, sample_seed=seed
+        group, field, sample=sample, sample_seed=seed
     )
     rows = []
     for fidx, code in ideals:

@@ -58,8 +58,8 @@ class SchurChainReport:
     where the chain provably repeats.  `regularity` is the first index whose
     dimension already equals the eventual one.  `period` is the cycle length
     of the codes themselves (1 means a genuine fixed code, in which case
-    `stabilized_code` holds it and, when extraction succeeded,
-    `stabilizer_subgroup` holds the subgroup it is induced from).
+    `stabilized_code` holds it and `stabilizer_subgroup` the subgroup it is
+    induced from).
     """
 
     dims: list[int]
@@ -120,29 +120,27 @@ def schur_power_chain(code: GCode, max_t: int | None = None) -> SchurChainReport
 
 
 def fixed_point_structure(code: GCode) -> Subgroup:
-    """Recover the subgroup a Schur-fixed code is induced from.
+    """Read off the subgroup a Schur-fixed code is induced from.
 
-    Takes the first minimum-weight codeword, translates it so its support
-    contains the identity, and checks that the support is a subgroup whose
-    coset-indicator span equals the code.  Any structural failure past the
-    precondition is a bug, so it raises VerificationError rather than
-    returning a sentinel.
+    A code closed under the componentwise product is spanned by the 0/1
+    indicators of disjoint blocks, and a nonzero ideal has no zero column,
+    so the identity's block is the set of columns of the canonical basis
+    equal to column 0.  That block is certified to be a subgroup H whose
+    coset-indicator span equals the code, which also proves C*C = C.  Only
+    a code failing the certificate is squared: ValueError when it is not
+    Schur-fixed, VerificationError (a bug) when it is.
     """
     if code.is_zero():
         raise ValueError("the zero code has no fixed-point structure")
+    group = code.group
+    basis = code.basis.matrix
+    members = np.flatnonzero((basis == basis[:, :1]).all(axis=0)).tolist()
+    if is_subgroup(group, members):
+        sub = Subgroup(group, members)
+        if gcode.trivial_induced(group, code.field, sub) == code:
+            return sub
     if schur_product(code, code) != code:
         raise ValueError("code is not fixed under its own Schur square")
-    group = code.group
-    word = code.min_weight_codeword()
-    h = min(word.support())
-    word = word.right_translate(int(group.inverse[h]))
-    members = sorted(word.support())
-    if not is_subgroup(group, members):
-        raise VerificationError(
-            "support of the normalized minimum-weight codeword is not a subgroup"
-        )
-    sub = Subgroup(group, members)
-    induced = gcode.trivial_induced(group, code.field, sub)
-    if induced != code:
-        raise VerificationError("code differs from the induced span it should equal")
-    return sub
+    raise VerificationError(
+        "Schur-fixed code is not the induced span of its identity block"
+    )

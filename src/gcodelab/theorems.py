@@ -430,7 +430,6 @@ def _greedy_lengths(
 def verify_uncertainty(
     group: Group,
     field: PrimeField,
-    threads: int = 1,
     shuffle_seed: int = 0,
     crosscheck_stride: int = 997,
     sample: int | None = None,
@@ -444,8 +443,7 @@ def verify_uncertainty(
     computed here when not given); sampled mode eliminates the sampled f
     themselves.  Every crosscheck_stride-th f is re-verified through the
     public uncertainty_check path (full matrix rank of f itself), which
-    audits the packed masks and the rank lookup.  `threads` is accepted for
-    interface stability; the sweep is vectorized and runs in one thread.
+    audits the packed masks and the rank lookup.
     """
     n, p = group.order, field.p
     W = _translate_weights(group)
@@ -508,7 +506,6 @@ def verify_uncertainty(
 def enumerate_cyclic_ideals(
     group: Group,
     field: PrimeField,
-    threads: int = 1,
     sample: int | None = None,
     sample_seed: int = 0,
     orbits: SweepOrbits | None = None,
@@ -520,8 +517,7 @@ def enumerate_cyclic_ideals(
     from `orbits`, computed here when not given); the tags equal those of a
     generator-by-generator sweep because the generators of an ideal form a
     union of orbits.  Sampled mode draws `sample` indices (with replacement)
-    and eliminates exactly those, batched like the orbit minima.  `threads`
-    is accepted for interface stability; elimination runs in one thread.
+    and eliminates exactly those, batched like the orbit minima.
     """
     if sample is None:
         if orbits is None:
@@ -547,7 +543,7 @@ def verify_bound(
     """Every cyclic ideal satisfies the product and sum bounds; over a binary
     2-group every proper ideal has even minimum distance."""
     if ideals is None:
-        ideals = enumerate_cyclic_ideals(group, field, threads=threads)
+        ideals = enumerate_cyclic_ideals(group, field)
     failures: list[dict] = []
     even_rule = field.p == 2 and is_p_group(group, 2)
     for fidx, code in ideals:
@@ -577,7 +573,7 @@ def verify_equality(
     """The equality witnesses exist exactly on the d*k = |G| ideals, induced
     spans round-trip, and idempotents appear exactly off the characteristic."""
     if ideals is None:
-        ideals = enumerate_cyclic_ideals(group, field, threads=threads)
+        ideals = enumerate_cyclic_ideals(group, field)
     failures: list[dict] = []
     for fidx, code in ideals:
         try:
@@ -613,15 +609,13 @@ _PAIRWISE_PRODUCT_CAP = 8  # group order up to which all ideal pairs are multipl
 def verify_schur(
     group: Group,
     field: PrimeField,
-    threads: int = 1,
-    guard: int | None = None,
     ideals: list[tuple[int, GCode]] | None = None,
 ) -> dict:
     """Schur-square clauses on every cyclic ideal, fixed-point extraction on
     the Schur-fixed ones, chain stabilization over F_2, and (on small groups)
     closure of every pairwise product."""
     if ideals is None:
-        ideals = enumerate_cyclic_ideals(group, field, threads=threads)
+        ideals = enumerate_cyclic_ideals(group, field)
     failures: list[dict] = []
     for fidx, code in ideals:
         try:
@@ -663,14 +657,14 @@ def verify_all(
 ) -> dict:
     """All four sweeps, sharing one orbit pass and one ideal enumeration."""
     orbits = sweep_orbits(group, field)
-    uncertainty = verify_uncertainty(group, field, threads=threads, orbits=orbits)
-    ideals = enumerate_cyclic_ideals(group, field, threads=threads, orbits=orbits)
-    shared = {"threads": threads, "guard": guard, "ideals": ideals}
+    uncertainty = verify_uncertainty(group, field, orbits=orbits)
+    ideals = enumerate_cyclic_ideals(group, field, orbits=orbits)
+    scans = {"threads": threads, "guard": guard, "ideals": ideals}
     sections = {
         "uncertainty": uncertainty,
-        "bound": verify_bound(group, field, **shared),
-        "equality": verify_equality(group, field, **shared),
-        "schur": verify_schur(group, field, **shared),
+        "bound": verify_bound(group, field, **scans),
+        "equality": verify_equality(group, field, **scans),
+        "schur": verify_schur(group, field, ideals=ideals),
     }
     failures = [
         dict(section=name, **f) for name, rep in sections.items() for f in rep["failures"]

@@ -250,6 +250,19 @@ def test_schur_power_json_matches_golden(capsys):
         assert capsys.readouterr().out == expected
 
 
+def test_schur_fixed_points_past_the_enumeration_guard(capsys):
+    # the full algebra of C32 has 2^32 codewords, past the guard; its
+    # subgroup is read off the basis without a scan
+    base = ["--group", "cyclic:32", "--p", "2", "--json", "--gen"]
+    assert cli.run(["schur", "power"] + base + [",".join(["1", "1"] + ["0"] * 30)]) == 0
+    assert capsys.readouterr().out == (
+        '{"complete":true,"dims":[31,32],"period":1,"regularity":2,'
+        '"stabilized_dim":32,"stabilizer":[0]}\n'
+    )
+    assert cli.run(["schur", "fixed-point"] + base + [",".join(["1"] + ["0"] * 31)]) == 0
+    assert capsys.readouterr().out == '{"order":1,"subgroup":[0]}\n'
+
+
 def test_sampled_sweeps_past_int64(capsys):
     # 3^40 - 1 generator indices do not fit in int64
     argv = ["--group", "cyclic:40", "--p", "3", "--sample", "5", "--json"]

@@ -10,14 +10,23 @@ from gcodelab import groups
 ALL_CONSTRUCTED = [
     groups.make_cyclic(1),
     groups.make_cyclic(6),
+    groups.make_cyclic(1024),
     groups.make_dihedral(1),
     groups.make_dihedral(4),
     groups.make_dihedral(5),
+    groups.make_dihedral(64),
+    groups.make_symmetric(1),
+    groups.make_symmetric(2),
     groups.make_symmetric(3),
     groups.make_symmetric(4),
+    groups.make_symmetric(5),
     groups.make_quaternion8(),
     groups.make_elementary_abelian(2, 3),
     groups.make_elementary_abelian(3, 2),
+    groups.make_elementary_abelian(2, 8),
+    groups.make_elementary_abelian(3, 5),
+    groups.from_spec("cyclic:2xcyclic:2xcyclic:2xcyclic:2xcyclic:64"),
+    groups.direct_product(groups.make_quaternion8(), groups.make_symmetric(4)),
     groups.direct_product(groups.make_cyclic(4), groups.make_cyclic(2)),
 ]
 
@@ -166,6 +175,52 @@ def test_corrupt_tables_rejected():
                          [4, 3, 1, 2, 0]])
     with pytest.raises(ValueError):
         groups.Group(nonassoc)
+    # Z_202 with the intercalate at rows/columns {1, 102} swapped: a Latin
+    # square with identity 0, read from JSON, audited past order 200
+    loop = groups.make_cyclic(202).table.copy()
+    cells = np.ix_([1, 102], [1, 102])
+    loop[cells] = loop[cells][::-1]
+    data = {"name": "L202", "order": 202, "table": loop.tolist(),
+            "labels": [str(i) for i in range(202)]}
+    with pytest.raises(ValueError, match="not associative"):
+        groups.group_from_dict(data)
+
+
+def _normalized_latin_squares(n):
+    table = np.full((n, n), -1)
+    table[0], table[:, 0] = np.arange(n), np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield table.copy()
+            return
+        i, j = cells[k]
+        for v in range(n):
+            if v not in table[i] and v not in table[:, j]:
+                table[i, j] = v
+                yield from fill(k + 1)
+                table[i, j] = -1
+
+    yield from fill(0)
+
+
+def test_light_audit_matches_the_cubic_check_on_every_small_loop():
+    # every Latin square with identity 0 of order 4 and 5: accepted exactly
+    # when (ab)c == a(bc) on all n^3 triples
+    for n, loops, assoc in ((4, 4, 4), (5, 56, 6)):
+        seen = accepted = 0
+        for table in _normalized_latin_squares(n):
+            cubic = np.array_equal(table[table], table[:, table])
+            try:
+                groups.Group(table)
+                light = True
+            except ValueError:
+                light = False
+            assert light == cubic
+            seen += 1
+            accepted += light
+        assert (seen, accepted) == (loops, assoc)
 
 
 def test_order_caps():

@@ -5,7 +5,13 @@ from gcodelab import schur
 from gcodelab.errors import VerificationError
 from gcodelab.ffield import PrimeField
 from gcodelab.galg import AlgElem
-from gcodelab.groups import Subgroup, make_cyclic, make_elementary_abelian
+from gcodelab.groups import (
+    Subgroup,
+    make_cyclic,
+    make_dihedral,
+    make_elementary_abelian,
+    make_symmetric,
+)
 from gcodelab.theorems import enumerate_cyclic_ideals
 
 F2, F3 = PrimeField(2), PrimeField(3)
@@ -127,12 +133,53 @@ def test_fixed_point_structure_preconditions():
 
 
 def test_fixed_points_are_induced_spans_sweep():
-    for group, field in ((make_cyclic(8), F2), (make_elementary_abelian(2, 2), F2), (C4, F3)):
+    cases = (
+        (make_cyclic(8), F2),
+        (make_elementary_abelian(2, 2), F2),
+        (make_dihedral(4), F2),
+        (C4, F3),
+        (make_symmetric(3), F3),
+        (make_cyclic(9), F3),
+    )
+    for group, field in cases:
         for _, code in enumerate_cyclic_ideals(group, field):
-            if schur.schur_product(code, code) == code:
-                sub = schur.fixed_point_structure(code)
-                assert gc.trivial_induced(group, field, sub) == code
-                assert len(sub) * code.dim == group.order
+            if schur.schur_product(code, code) != code:
+                with pytest.raises(ValueError) as err:
+                    schur.fixed_point_structure(code)
+                assert err.type is ValueError
+                assert str(err.value) == "code is not fixed under its own Schur square"
+                continue
+            sub = schur.fixed_point_structure(code)
+            assert gc.trivial_induced(group, field, sub) == code
+            assert len(sub) * code.dim == group.order
+            # the basis read agrees with the support of a minimum-weight word
+            # translated to the identity
+            word = code.min_weight_codeword()
+            word = word.right_translate(int(group.inverse[min(word.support())]))
+            assert sub.members == tuple(sorted(word.support()))
+            assert len(sub) == code.min_distance()
+
+
+def test_fixed_point_structure_squares_only_a_failing_code(monkeypatch):
+    squares = []
+    product = schur.schur_product
+
+    def counted(a, b):
+        squares.append(a)
+        return product(a, b)
+
+    monkeypatch.setattr(schur, "schur_product", counted)
+    code = gc.trivial_induced(C4, F2, Subgroup(C4, [0, 2]))
+    assert schur.fixed_point_structure(code).members == (0, 2)
+    assert squares == []
+    with pytest.raises(ValueError):
+        schur.fixed_point_structure(gc.augmentation_ideal(C4, F2))
+    assert len(squares) == 1
+    # a Schur-fixed code that fails its certificate is a bug, not bad input
+    monkeypatch.setattr(gc, "trivial_induced", lambda *args: gc.full_algebra(C4, F2))
+    with pytest.raises(VerificationError, match="identity block"):
+        schur.fixed_point_structure(code)
+    assert len(squares) == 2
 
 
 def test_binary_power_chain_ascends():
