@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ffield import PrimeField
-from .groups import Group
+from .groups import Group, same_group
 
 
 class AlgElem:
@@ -113,13 +113,8 @@ class AlgElem:
 
     # --- plumbing ---
 
-    def _same_group(self, other: "AlgElem") -> bool:
-        return self.group is other.group or np.array_equal(
-            self.group.table, other.group.table
-        )
-
     def _check(self, other: "AlgElem") -> None:
-        if not self._same_group(other):
+        if not same_group(self.group, other.group):
             raise ValueError("elements live over different groups")
         if self.field != other.field:
             raise ValueError(
@@ -145,7 +140,7 @@ class AlgElem:
             isinstance(other, AlgElem)
             and self.field == other.field
             and bool(np.array_equal(self.coeffs, other.coeffs))
-            and self._same_group(other)
+            and same_group(self.group, other.group)
         )
 
     def __hash__(self) -> int:

@@ -1,7 +1,7 @@
 """Right ideals of F_p[G] as linear codes.
 
 A GCode owns a canonical RowBasis of width |G|; construction verifies closure
-under right translation by every group element, so an existing GCode is an
+under right translation by the group's generators, so an existing GCode is an
 ideal by construction.  Minimum distance is exact, by full codeword
 enumeration behind a guard (never an approximation).  A GCode is immutable,
 so it scans its codewords at most once and keeps the result.
@@ -20,7 +20,7 @@ from . import groups, linalg
 from .errors import GuardExceeded, VerificationError
 from .ffield import PrimeField
 from .galg import AlgElem
-from .groups import Group, Subgroup
+from .groups import Group, Subgroup, same_group
 from .linalg import RowBasis
 
 DEFAULT_GUARD = 1 << 26
@@ -79,10 +79,7 @@ class GCode:
         return (
             isinstance(other, GCode)
             and self.basis == other.basis
-            and (
-                self.group is other.group
-                or np.array_equal(self.group.table, other.group.table)
-            )
+            and same_group(self.group, other.group)
         )
 
     def __hash__(self) -> int:
@@ -206,13 +203,14 @@ class ParamReport:
 
 
 def is_ideal(group: Group, basis: RowBasis) -> bool:
-    """Row space closed under right translation by every group element."""
+    """Row space closed under right translation by each of the group's
+    generators, hence by every element."""
     if basis.ambient != group.order:
         raise ValueError("basis width must equal the group order")
     if basis.dim == 0:
         return True
     B = basis.matrix
-    for g in range(group.order):
+    for g in group.generators:
         translated = np.zeros_like(B)
         translated[:, group.table[:, g]] = B
         if not basis.contains_rows(translated):

@@ -2,9 +2,11 @@
 
 A Group stores an n x n index table with the identity forced to index 0.
 Construction audits the table: identity row/column, Latin-square property,
-two-sided inverses, and associativity, at every order.  Element orderings
-are fixed per constructor and documented on each, because downstream code
-identifies F_p^G with F_p^n through them.
+two-sided inverses, and associativity, at every order.  The audit keeps its
+greedy generating set, and closure questions go through it or through the
+one closure routine, `_closure`.  Element orderings are fixed per constructor
+and documented on each, because downstream code identifies F_p^G with F_p^n
+through them.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ from math import gcd
 import numpy as np
 
 ORDER_CAP = 4096
+_BLOCK = 1 << 17  # entries per gather: stays in cache, bounds memory at ORDER_CAP
 
 
 class Group:
     """A finite group given by its Cayley table.
 
     table[i][j] is the index of g_i * g_j; index 0 is the identity.
-    `source` records a builtin constructor spec (e.g. "cyclic:4") when one
+    `generators` is a generating set of at most log2(n) elements, each the
+    smallest index outside the subgroup the ones before generate.  `source`
+    records a builtin constructor spec (e.g. "cyclic:4") when one
     applies, so codes over builtin groups serialize compactly.
     """
 
@@ -35,7 +40,7 @@ class Group:
             raise ValueError(f"group order must lie in [1, {ORDER_CAP}]")
         if np.any(table < 0) or np.any(table >= n):
             raise ValueError("table entries must be element indices")
-        _audit_table(table)
+        self.generators = _audit_table(table)
         table = table.copy()
         table.setflags(write=False)
         self.table = table
@@ -67,7 +72,13 @@ class Group:
         return f"Group({self.name}, order={self.order})"
 
 
-def _audit_table(table: np.ndarray) -> None:
+def same_group(a: Group, b: Group) -> bool:
+    """The same object, or groups with equal Cayley tables."""
+    return a is b or np.array_equal(a.table, b.table)
+
+
+def _audit_table(table: np.ndarray) -> tuple[int, ...]:
+    """Validate the table; return the greedy generating set."""
     n = table.shape[0]
     ar = np.arange(n)
     if not (np.array_equal(table[0], ar) and np.array_equal(table[:, 0], ar)):
@@ -76,10 +87,10 @@ def _audit_table(table: np.ndarray) -> None:
         raise ValueError("rows must be permutations (Latin square)")
     if not np.array_equal(np.sort(table, axis=0), np.tile(ar.reshape(-1, 1), (1, n))):
         raise ValueError("columns must be permutations (Latin square)")
-    _audit_associativity(table)
+    return _audit_associativity(table)
 
 
-def _audit_associativity(table: np.ndarray) -> None:
+def _audit_associativity(table: np.ndarray) -> tuple[int, ...]:
     """Light's test: the product is associative iff (a s) b == a (s b) for
     all a, b and every s in a generating set, because the s passing it for
     all a, b form a submagma that holds the identity.
@@ -87,31 +98,42 @@ def _audit_associativity(table: np.ndarray) -> None:
     Generators are taken greedily, each the smallest index outside the
     closure of the ones before.  Each closure is a Latin subsquare, and a
     proper subsquare has at most half the order of the square, so there are
-    at most log2(n) generators, each checked in O(n^2) work.  Row blocks of
-    about 2^17 entries keep every gather in cache.
+    at most log2(n) generators, each checked in O(n^2) work.  Returns them.
     """
     n = table.shape[0]
-    block = max(1, (1 << 17) // n)
+    block = max(1, _BLOCK // n)
+    gens: list[int] = []
     inside = np.zeros(n, dtype=bool)
     inside[0] = True
     while not inside.all():
         s = int(np.argmin(inside))
+        gens.append(s)
         inside[s] = True
-        inside = _closure(table, inside, block)
+        inside = _closure(table, inside)
         for lo in range(0, n, block):
             rows = table[lo : lo + block]
             if not np.array_equal(table[rows[:, s]], rows[:, table[s]]):
                 raise ValueError("table is not associative")
+    return tuple(gens)
 
 
-def _closure(table: np.ndarray, inside: np.ndarray, block: int) -> np.ndarray:
+def _products(table: np.ndarray, members: np.ndarray):
+    """The products a*b for a, b in a nonempty members array, one row block
+    at a time."""
+    block = max(1, _BLOCK // len(members))
+    for lo in range(0, len(members), block):
+        yield table[members[lo : lo + block, None], members]
+
+
+def _closure(table: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Close a membership mask under the product: X <- X u X*X until it
-    stops growing, which doubles the word length each round."""
+    stops growing, which doubles the word length each round.  In a finite
+    group the closure of a nonempty set is the subgroup it generates."""
     while not inside.all():
         members = np.flatnonzero(inside)
         grown = inside.copy()
-        for lo in range(0, len(members), block):
-            grown[table[members[lo : lo + block, None], members]] = True
+        for prods in _products(table, members):
+            grown[prods] = True
         if grown.sum() == len(members):
             break
         inside = grown
@@ -176,40 +198,28 @@ class Subgroup:
 
 
 def is_subgroup(g: Group, members) -> bool:
-    """Contains the identity and is closed under product and inverse."""
-    mem = set(int(m) for m in members)
-    if 0 not in mem:
+    """Nonempty, inside the group and closed under the product (H*H in H),
+    which in a finite group also gives the identity and inverses."""
+    mem = sorted({int(m) for m in members})
+    if not mem or mem[0] < 0 or mem[-1] >= g.order:
         return False
-    if any(m < 0 or m >= g.order for m in mem):
-        return False
-    for a in mem:
-        if int(g.inverse[a]) not in mem:
-            return False
-        for b in mem:
-            if int(g.table[a, b]) not in mem:
-                return False
-    return True
+    inside = np.zeros(g.order, dtype=bool)
+    inside[mem] = True
+    return all(
+        inside[prods].all() for prods in _products(g.table, np.array(mem))
+    )
 
 
 def subgroup_generated(g: Group, seeds) -> Subgroup:
-    """Smallest subgroup containing the seeds (breadth-first closure)."""
+    """Smallest subgroup containing the seeds: the closure of the seeds and
+    the identity under the product."""
     seeds = [int(s) for s in seeds]
     for s in seeds:
         if not 0 <= s < g.order:
             raise ValueError(f"element index {s} out of range")
-    members = {0}
-    frontier = [0]
-    gens = sorted(set(seeds) | {int(g.inverse[s]) for s in seeds})
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = int(g.table[x, s])
-                if y not in members:
-                    members.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return Subgroup(g, members)
+    inside = np.zeros(g.order, dtype=bool)
+    inside[[0, *seeds]] = True
+    return Subgroup(g, np.flatnonzero(_closure(g.table, inside)).tolist())
 
 
 def right_cosets(g: Group, h: Subgroup) -> list[list[int]]:
@@ -250,17 +260,16 @@ def is_p_group(g: Group, p: int) -> bool:
 
 def normal_p_complement(g: Group, p: int) -> Subgroup | None:
     """The subgroup of p'-elements, when the p'-elements do form a normal
-    subgroup of index |G|_p; otherwise None."""
+    subgroup of index |G|_p; otherwise None.  Conjugating by the generators
+    is enough for normality, since the subgroup is finite."""
     target = g.order // p_part(g, p)
     members = [i for i in range(g.order) if gcd(g.element_orders[i], p) == 1]
     if len(members) != target or not is_subgroup(g, members):
         return None
-    mem = set(members)
-    for x in range(g.order):
-        xi = int(g.inverse[x])
-        for m in members:
-            if int(g.table[g.table[x, m], xi]) not in mem:
-                return None
+    gens = np.array(g.generators, dtype=np.int64)
+    conjugates = g.table[g.table[gens[:, None], members], g.inverse[gens, None]]
+    if not np.isin(conjugates, members).all():
+        return None
     return Subgroup(g, members)
 
 
@@ -286,14 +295,10 @@ def make_dihedral(m: int) -> Group:
     if m < 1:
         raise ValueError("m must be at least 1")
     _check_order(2 * m)
-    n = 2 * m
-    table = np.zeros((n, n), dtype=np.int64)
-    for k in (0, 1):
-        for i in range(m):
-            for l in (0, 1):
-                for j in range(m):
-                    rot = (j - i) % m if l else (i + j) % m
-                    table[k * m + i, l * m + j] = (k ^ l) * m + rot
+    # (s^k r^i)(s^l r^j) = s^(k+l) r^(j + (-1)^l i), since r^i s = s r^-i
+    flip, rot = np.divmod(np.arange(2 * m), m)
+    turn = (rot + np.where(flip, -1, 1) * rot[:, None]) % m
+    table = (flip[:, None] ^ flip[None, :]) * m + turn
     labels = ["1"] + [f"r{i}" if i > 1 else "r" for i in range(1, m)]
     labels += ["s"] + [f"sr{i}" if i > 1 else "sr" for i in range(1, m)]
     return Group(table, labels, name=f"D{m}", source=f"dihedral:{m}")
@@ -305,12 +310,11 @@ def make_symmetric(k: int) -> Group:
     if not 1 <= k <= 5:
         raise ValueError("symmetric constructor supports 1 <= k <= 5")
     perms = list(permutations(range(k)))
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, a in enumerate(perms):
-        for j, b in enumerate(perms):
-            table[i, j] = index[tuple(a[b[x]] for x in range(k))]
+    arr = np.array(perms, dtype=np.int64).reshape(len(perms), k)
+    # lexicographic order is increasing order of the base-k reading
+    place = k ** np.arange(k - 1, -1, -1)
+    composed = arr[np.arange(len(perms))[:, None, None], arr[None, :, :]]
+    table = np.searchsorted(arr @ place, composed @ place)
     labels = ["".join(map(str, p)) for p in perms]
     return Group(table, labels, name=f"S{k}", source=f"symmetric:{k}")
 

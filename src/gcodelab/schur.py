@@ -21,7 +21,7 @@ import numpy as np
 from . import gcode, linalg
 from .errors import VerificationError
 from .gcode import GCode
-from .groups import Subgroup, is_subgroup
+from .groups import Subgroup, is_subgroup, same_group
 
 __all__ = [
     "schur_product",
@@ -33,7 +33,7 @@ __all__ = [
 
 def schur_product(a: GCode, b: GCode) -> GCode:
     """Span of the pairwise componentwise products of basis rows."""
-    if a.group is not b.group and not np.array_equal(a.group.table, b.group.table):
+    if not same_group(a.group, b.group):
         raise ValueError("codes live over different groups")
     if a.field != b.field:
         raise ValueError(f"modulus mismatch: {a.field.p} vs {b.field.p}")

@@ -585,8 +585,9 @@ def verify_equality(
                     f"equality flag {rep.equality}"
                 )
             if witness is not None:
+                # rep.equality already holds for an induced code equal to this one
                 induced = gc.trivial_induced(group, field, witness.subgroup)
-                if not induced.params(guard=guard).equality:
+                if induced != code and not induced.params(guard=guard).equality:
                     raise VerificationError("induced code misses the bound")
                 has_e = witness.idempotent is not None
                 if has_e != (rep.distance % field.p != 0):

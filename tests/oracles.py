@@ -6,7 +6,7 @@ itertools.product, closure by set saturation.  Tests compare the fast paths
 against these on small instances.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 
 def rank_mod_p(rows, p):
@@ -84,3 +84,86 @@ def is_normal_scan(table, inverse, members):
             if table[table[g][m]][inverse[g]] not in mem:
                 return False
     return True
+
+
+def is_subgroup_scan(table, inverse, members):
+    """Identity, products and inverses, pair by pair."""
+    mem = set(members)
+    if 0 not in mem or any(not 0 <= m < len(table) for m in mem):
+        return False
+    return all(inverse[a] in mem for a in mem) and all(
+        table[a][b] in mem for a in mem for b in mem
+    )
+
+
+def subgroup_bfs(table, inverse, seeds):
+    """Subgroup generated by seeds, breadth first from the identity through
+    right multiplication by the seeds and their inverses."""
+    gens = set(seeds) | {inverse[s] for s in seeds}
+    members, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = table[x][s]
+                if y not in members:
+                    members.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return members
+
+
+def normal_complement_scan(table, inverse, p):
+    """The p'-elements, when they form a normal subgroup whose index is the
+    p-part of the order; otherwise None.  Element orders by repeated product."""
+    n = len(table)
+    members = []
+    for g in range(n):
+        x, order = g, 1
+        while x != 0:
+            x, order = table[x][g], order + 1
+        if order % p:
+            members.append(g)
+    p_part = 1
+    while n % (p_part * p) == 0:
+        p_part *= p
+    if len(members) * p_part != n or not is_subgroup_scan(table, inverse, members):
+        return None
+    return members if is_normal_scan(table, inverse, members) else None
+
+
+def is_ideal_scan(table, rows, p):
+    """Row space closed under right translation by every element: for each
+    g, adding the translated rows leaves the rank unchanged."""
+    n = len(table)
+    rank = rank_mod_p(rows, p)
+    for g in range(n):
+        moved = []
+        for row in rows:
+            out = [0] * n
+            for x in range(n):
+                out[table[x][g]] = row[x]
+            moved.append(out)
+        if rank_mod_p(list(rows) + moved, p) != rank:
+            return False
+    return True
+
+
+def dihedral_table_loop(m):
+    """D_m of order 2m, rotations r^i first, then reflections s*r^i."""
+    n = 2 * m
+    table = [[0] * n for _ in range(n)]
+    for k in (0, 1):
+        for i in range(m):
+            for l in (0, 1):
+                for j in range(m):
+                    rot = (j - i) % m if l else (i + j) % m
+                    table[k * m + i][l * m + j] = (k ^ l) * m + rot
+    return table
+
+
+def symmetric_table_loop(k):
+    """S_k in lexicographic one-line order, sigma*tau = sigma o tau."""
+    perms = list(permutations(range(k)))
+    index = {perm: i for i, perm in enumerate(perms)}
+    return [[index[tuple(a[b[x]] for x in range(k))] for b in perms] for a in perms]

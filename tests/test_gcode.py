@@ -9,7 +9,7 @@ from gcodelab import linalg, schur
 from gcodelab.errors import GuardExceeded
 from gcodelab.ffield import PrimeField
 from gcodelab.galg import AlgElem
-from gcodelab.groups import Group, Subgroup, make_cyclic, make_elementary_abelian
+from gcodelab.groups import Group, Subgroup, from_spec, make_cyclic, make_elementary_abelian
 from gcodelab.theorems import enumerate_cyclic_ideals
 
 F2, F3 = PrimeField(2), PrimeField(3)
@@ -58,6 +58,58 @@ def test_is_ideal():
         gc.GCode(C2, line)
     code = gc.ideal_from_generators(C4, F3, [AlgElem(C4, F3, [1, 2, 0, 0])])
     assert gc.is_ideal(C4, code.basis)
+
+
+def _candidate_subspaces(group, field, rng):
+    """Random subspaces, ideals, and spans of a vector's orbit under one
+    element, which are closed under that element but often not under all."""
+    n, p = group.order, field.p
+    for k in (1, 2, n // 2, n - 1):
+        yield linalg.rref(rng.integers(0, p, size=(k, n)), field, width=n)
+    for _ in range(3):
+        f = AlgElem(group, field, rng.integers(0, p, size=n))
+        yield gc.ideal_from_generators(group, field, [f]).basis
+    for g in range(1, n):
+        v = AlgElem(group, field, rng.integers(0, p, size=n))
+        orbit = [v]
+        while len(orbit) < group.element_orders[g]:
+            orbit.append(orbit[-1].right_translate(g))
+        yield linalg.rref(np.array([w.coeffs for w in orbit]), field, width=n)
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic:8", "dihedral:4", "quaternion8", "elemabelian:2,3", "symmetric:3",
+    "cyclic:6", "symmetric:4",
+])
+def test_is_ideal_matches_the_all_elements_scan(spec):
+    group = from_spec(spec)
+    table = group.table.tolist()
+    rng = np.random.default_rng(len(spec))
+    verdicts = set()
+    for field in (F2, F3):
+        for basis in _candidate_subspaces(group, field, rng):
+            expect = oracles.is_ideal_scan(table, basis.matrix.tolist(), field.p)
+            assert gc.is_ideal(group, basis) == expect
+            verdicts.add(expect)
+    assert verdicts == {True, False}
+
+
+def test_is_ideal_translates_by_the_generators_only(monkeypatch):
+    calls = []
+    contains_rows = linalg.RowBasis.contains_rows
+
+    def counted(self, rows):
+        calls.append(self)
+        return contains_rows(self, rows)
+
+    monkeypatch.setattr(linalg.RowBasis, "contains_rows", counted)
+    for spec in ("symmetric:4", "dihedral:4", "cyclic:256", "quaternion8xcyclic:3"):
+        group = from_spec(spec)
+        for field in (F2, F3):
+            code = gc.augmentation_ideal(group, field)
+            calls.clear()
+            assert gc.is_ideal(group, code.basis)
+            assert len(calls) == len(group.generators) < group.order
 
 
 def test_min_distance_examples_and_oracle():

@@ -99,6 +99,8 @@ def test_is_subgroup_examples():
     assert not groups.is_subgroup(c6, [2, 4])  # identity missing
     assert groups.is_subgroup(c6, [0, 2, 4])
     assert not groups.is_subgroup(c6, [0, 3, 4])
+    assert not groups.is_subgroup(c6, [])
+    assert not groups.is_subgroup(c6, [0, 6]) and not groups.is_subgroup(c6, [-1, 0])
 
 
 def test_subgroup_validation():
@@ -156,6 +158,75 @@ def test_normal_p_complement():
     assert groups.normal_p_complement(groups.make_symmetric(4), 2) is None
     q8 = groups.make_quaternion8()
     assert groups.normal_p_complement(q8, 2).members == (0,)
+
+
+SMALL = {
+    "C8": groups.make_cyclic(8),
+    "D4": groups.make_dihedral(4),
+    "Q8": groups.make_quaternion8(),
+    "C2^3": groups.make_elementary_abelian(2, 3),
+    "S3": groups.make_symmetric(3),
+    "C6": groups.make_cyclic(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_closure_checks_match_brute_force_on_every_subset(name):
+    g = SMALL[name]
+    table, inverse = g.table.tolist(), g.inverse.tolist()
+    subgroups = set()
+    for mask in range(1 << g.order):
+        subset = [i for i in range(g.order) if mask >> i & 1]
+        expect = oracles.is_subgroup_scan(table, inverse, subset)
+        assert groups.is_subgroup(g, subset) == expect, subset
+        generated = groups.subgroup_generated(g, subset)
+        assert set(generated.members) == oracles.subgroup_bfs(table, inverse, subset)
+        assert (generated.members == tuple(subset)) == expect
+        if expect:
+            subgroups.add(tuple(subset))
+    assert len(subgroups) == {"C8": 4, "D4": 10, "Q8": 6, "C2^3": 16,
+                              "S3": 6, "C6": 4}[name]
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic:8", "dihedral:4", "quaternion8", "elemabelian:2,3", "symmetric:3",
+    "cyclic:6", "symmetric:4", "dihedral:5", "dihedral:6", "cyclic:10",
+    "cyclic:3xsymmetric:3", "quaternion8xcyclic:3", "dihedral:9",
+])
+def test_normal_p_complement_matches_brute_force(spec):
+    g = groups.from_spec(spec)
+    for p in (2, 3, 5, 7):
+        comp = groups.normal_p_complement(g, p)
+        expect = oracles.normal_complement_scan(g.table.tolist(), g.inverse.tolist(), p)
+        assert (comp.members if comp else None) == (tuple(expect) if expect else None)
+
+
+def test_generators_generate_within_log2_of_the_order():
+    for g in ALL_CONSTRUCTED:
+        gens = g.generators
+        assert isinstance(gens, tuple) and all(isinstance(s, int) for s in gens)
+        assert len(gens) <= max(0, g.order.bit_length() - 1)
+        assert len(groups.subgroup_generated(g, gens)) == g.order
+        if g.order <= 120:
+            table, inverse = g.table.tolist(), g.inverse.tolist()
+            assert len(oracles.subgroup_bfs(table, inverse, gens)) == g.order
+    assert groups.make_symmetric(4).generators == (1, 2, 6)
+    assert groups.make_cyclic(1).generators == ()
+
+
+def test_dihedral_and_symmetric_tables_match_loop_references():
+    for m in [*range(1, 40), 64, 100]:
+        assert groups.make_dihedral(m).table.tolist() == oracles.dihedral_table_loop(m)
+    for k in range(1, 6):
+        assert groups.make_symmetric(k).table.tolist() == oracles.symmetric_table_loop(k)
+
+
+def test_same_group_is_identity_then_table():
+    c4 = groups.make_cyclic(4)
+    assert groups.same_group(c4, c4)
+    assert groups.same_group(c4, groups.make_cyclic(4))
+    assert not groups.same_group(c4, groups.make_elementary_abelian(2, 2))
+    assert not groups.same_group(c4, groups.make_cyclic(8))
 
 
 def test_corrupt_tables_rejected():

@@ -285,6 +285,24 @@ def test_verify_all_scans_each_ideal_once(monkeypatch):
     assert scanned and max(count for _, count in scanned.values()) == 1
 
 
+def test_verify_equality_scans_only_the_listed_ideals(monkeypatch):
+    # each induced witness code of a 2-group over F_2 equals the ideal it
+    # certifies, so no code outside the list is scanned
+    scanned = []
+    scan = gc.GCode._min_scan
+
+    def counted(self, threads):
+        scanned.append(self)
+        return scan(self, threads)
+
+    monkeypatch.setattr(gc.GCode, "_min_scan", counted)
+    c16 = make_cyclic(16)
+    ideals = theorems.enumerate_cyclic_ideals(c16, F2)
+    rep = theorems.verify_equality(c16, F2, ideals=ideals)
+    assert rep["failures"] == [] and rep["checked"] == len(ideals) == 16
+    assert sorted(map(id, scanned)) == sorted(id(code) for _, code in ideals)
+
+
 def test_sample_indices_past_int64():
     # 3^40 - 1 does not fit in int64: digit vectors are drawn instead
     picks = theorems._sample_indices(40, 3, 50, seed=1)
