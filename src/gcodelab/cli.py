@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import constructions, gcode as gc, groups, schur, theorems
@@ -27,10 +26,6 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _default_threads() -> int:
-    return max(1, os.cpu_count() or 1)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcodelab",
@@ -41,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--threads", type=int, default=None, help="worker threads")
+    common.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility; every command runs in one thread")
     common.add_argument("--seed", type=int, default=0, help="randomness seed")
     common.add_argument("--guard", type=int, default=None, help="codeword enumeration cap")
 
@@ -183,7 +179,6 @@ def _cmd_group(args, parser) -> int:
 
 
 def _cmd_code(args, parser) -> int:
-    threads = args.threads or _default_threads()
     if args.subcommand == "induced":
         _require(args, parser, "group", "p", "subgroup")
         group = _resolve_group(args)
@@ -195,7 +190,7 @@ def _cmd_code(args, parser) -> int:
     if args.subcommand == "dual":
         code = code.dual()
     if args.subcommand == "params":
-        rep = code.params(guard=args.guard, threads=threads)
+        rep = code.params(guard=args.guard)
         if args.json:
             print(_dump({"group": code.group.name, "p": code.field.p, **rep.as_dict()}))
         else:
@@ -213,7 +208,7 @@ def _cmd_construct_rm(args, parser) -> int:
     extra = {}
     if args.check_square:
         extra = constructions.rm_schur_square_check(args.r, args.m)
-    rep = code.params(guard=args.guard, threads=args.threads or _default_threads())
+    rep = code.params(guard=args.guard)
     _emit_code(args, code, extra={**rep.as_dict(), **extra})
     return 0
 
@@ -278,7 +273,7 @@ def _cmd_verify(args, parser) -> int:
     elif args.sample is not None:
         parser.error("--sample applies only to 'verify up' and 'search sweep'")
     if args.subcommand in ("bound", "equality", "all"):  # drivers that scan codewords
-        kwargs.update(threads=args.threads or _default_threads(), guard=args.guard)
+        kwargs.update(guard=args.guard)
     report = _VERIFY_DRIVERS[args.subcommand](group, field, **kwargs)
     if args.json:
         print(_dump(report))
@@ -317,7 +312,6 @@ def _cmd_search_sweep(args, parser) -> int:
     _require(args, parser, "group", "p")
     group = _resolve_group(args)
     field = _resolve_field(args)
-    threads = args.threads or _default_threads()
     total = field.p**group.order
     if total > _FEASIBLE_ENUM and args.sample is None:
         parser.error(
@@ -327,7 +321,6 @@ def _cmd_search_sweep(args, parser) -> int:
     rows = sweep_report(
         group,
         field,
-        threads=threads,
         sample=args.sample,
         seed=args.seed,
         guard=args.guard,
@@ -349,7 +342,6 @@ def _cmd_search_sweep(args, parser) -> int:
 def sweep_report(
     group,
     field,
-    threads: int = 1,
     sample: int | None = None,
     seed: int = 0,
     guard: int | None = None,
@@ -362,7 +354,7 @@ def sweep_report(
     )
     rows = []
     for fidx, code in ideals:
-        rep = code.params(guard=guard, threads=threads)
+        rep = code.params(guard=guard)
         if rep.product is not None and rep.product < group.order:
             raise VerificationError("sweep row violates the product bound")
         square = schur.schur_product(code, code)

@@ -3,15 +3,17 @@
 A GCode owns a canonical RowBasis of width |G|; construction verifies closure
 under right translation by the group's generators, so an existing GCode is an
 ideal by construction.  Minimum distance is exact, by full codeword
-enumeration behind a guard (never an approximation).  A GCode is immutable,
-so it scans its codewords at most once and keeps the result.
+enumeration behind a guard (never an approximation): every codeword is the
+sum of a word spanned by the top half of the basis and one spanned by the
+bottom half, so the scan builds the two spans once and combines them block
+by block.  A GCode is immutable, so it scans its codewords at most once and
+keeps the result.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,7 @@ from .groups import Group, Subgroup, same_group
 from .linalg import RowBasis
 
 DEFAULT_GUARD = 1 << 26
-_CHUNK = 1 << 14
+_BLOCK = 1 << 16  # span-table entries combined at once: bounds memory, stays in cache
 
 
 def enumeration_guard() -> int:
@@ -90,16 +92,14 @@ class GCode:
 
     # --- parameters ---
 
-    def min_distance(self, guard: int | None = None, threads: int = 1) -> int:
+    def min_distance(self, guard: int | None = None) -> int:
         """Exact minimum weight of a nonzero codeword, by full enumeration."""
-        return self._minimum(guard, threads)[0]
+        return self._minimum(guard)[0]
 
-    def min_weight_codeword(
-        self, guard: int | None = None, threads: int = 1
-    ) -> AlgElem:
+    def min_weight_codeword(self, guard: int | None = None) -> AlgElem:
         """The minimum-weight codeword that comes first in the lexicographic
         enumeration of message vectors (deterministic)."""
-        _, msg = self._minimum(guard, threads)
+        _, msg = self._minimum(guard)
         k, p = self.dim, self.field.p
         divs = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
         digits = (msg // divs) % p
@@ -107,10 +107,9 @@ class GCode:
             self.group, self.field, (digits @ self.basis.matrix) % p
         )
 
-    def _minimum(self, guard: int | None, threads: int) -> tuple[int, int]:
+    def _minimum(self, guard: int | None) -> tuple[int, int]:
         """(minimum weight, first message index reaching it).  The guard is
-        checked on every call; the scan runs on the first one only, and its
-        result does not depend on `threads`."""
+        checked on every call; the scan runs on the first one only."""
         if self.dim == 0:
             raise ValueError("the zero code has no minimum distance")
         guard = enumeration_guard() if guard is None else guard
@@ -120,36 +119,11 @@ class GCode:
                 f"{p}^{k} codewords exceed the enumeration guard {guard}"
             )
         if self._scan is None:
-            self._scan = self._min_scan(threads)
+            self._scan = self._min_scan()
         return self._scan
 
-    def _min_scan(self, threads: int) -> tuple[int, int]:
-        k, p = self.dim, self.field.p
-        total = p**k
-        B = self.basis.matrix
-        divs = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
-
-        def scan(bounds: tuple[int, int]) -> tuple[int, int]:
-            lo, hi = bounds
-            idx = np.arange(lo, hi, dtype=np.int64)
-            digits = (idx[:, None] // divs) % p
-            weights = np.count_nonzero((digits @ B) % p, axis=1)
-            j = int(np.argmin(weights))
-            return int(weights[j]), lo + j
-
-        ranges = [
-            (lo, min(lo + _CHUNK, total)) for lo in range(1, total, _CHUNK)
-        ]
-        if threads > 1 and len(ranges) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(scan, ranges))
-        else:
-            results = [scan(r) for r in ranges]
-        best = results[0]
-        for cand in results[1:]:
-            if cand[0] < best[0]:
-                best = cand
-        return best
+    def _min_scan(self) -> tuple[int, int]:
+        return _split_scan(self.basis.matrix, self.field.p)
 
     def dual(self) -> "GCode":
         """The code orthogonal to this one under the coordinate inner
@@ -163,11 +137,11 @@ class GCode:
         B = self.basis.matrix
         return not np.any((B @ B.T) % self.field.p)
 
-    def params(self, guard: int | None = None, threads: int = 1) -> "ParamReport":
+    def params(self, guard: int | None = None) -> "ParamReport":
         n, k = self.length, self.dim
         if k == 0:
             return ParamReport(n, 0, None, None, True, False)
-        d = self.min_distance(guard=guard, threads=threads)
+        d = self.min_distance(guard=guard)
         product = d * k
         if product < n:
             raise VerificationError(
@@ -178,6 +152,60 @@ class GCode:
                 f"d + k = {d + k} escapes [2*sqrt({n}), {n + 1}]"
             )
         return ParamReport(n, k, d, product, True, product == n)
+
+
+def _split_scan(rows: np.ndarray, p: int) -> tuple[int, int]:
+    """(minimum weight, first message index reaching it) over every nonzero
+    message of the k rows; message index i has the base-p digits of i as
+    coefficients, row 0's most significant.  Message hi * p^b + lo
+    (b = floor(k/2)) encodes to span(top rows)[hi] + span(bottom rows)[lo],
+    so scanning the combined spans block by block, each block in row-major
+    order, visits the messages in index order.  A later block replaces the
+    best only on a strictly smaller weight: the first minimum is kept."""
+    k, n = rows.shape
+    if p == 2:
+        rows = _pack_words(rows)
+    else:
+        rows = rows.astype(np.min_scalar_type(2 * (p - 1)))
+    split = k - k // 2
+    top, bottom = _span(rows[:split], p), _span(rows[split:], p)
+    step = max(1, _BLOCK // bottom.size)
+    best = (n + 1, 0)
+    for start in range(0, len(top), step):
+        block = top[start : start + step, None]
+        if p == 2:
+            weights = np.bitwise_count(block ^ bottom).sum(axis=2, dtype=np.int64)
+        else:
+            weights = np.count_nonzero((block + bottom) % p, axis=2)
+        if start == 0:
+            weights[0, 0] = n + 1  # the zero message
+        j = int(np.argmin(weights))
+        if weights.flat[j] < best[0]:
+            best = (int(weights.flat[j]), start * len(bottom) + j)
+    return best
+
+
+def _pack_words(rows: np.ndarray) -> np.ndarray:
+    """0/1 rows as little-endian bit fields in ceil(n/64) uint64 words each."""
+    n = rows.shape[1]
+    padded = np.zeros((rows.shape[0], -(-n // 64) * 64), dtype=np.uint8)
+    padded[:, :n] = rows
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def _span(rows: np.ndarray, p: int) -> np.ndarray:
+    """All combinations sum_j c_j rows[j] at index sum_j c_j p^(m-1-j), row 0
+    most significant: built by doubling from the last row.  Over F_2 the
+    rows are packed words; otherwise digits in a dtype that holds 2(p-1)."""
+    out = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    for row in rows[::-1]:
+        if p == 2:
+            out = np.concatenate([out, out ^ row])
+        else:
+            multiples = (np.arange(p)[:, None] * row.astype(np.int64)) % p
+            out = (out + multiples.astype(rows.dtype)[:, None]) % p
+            out = out.reshape(-1, rows.shape[1])
+    return out
 
 
 @dataclass(frozen=True)

@@ -83,9 +83,14 @@ def _audit_table(table: np.ndarray) -> tuple[int, ...]:
     ar = np.arange(n)
     if not (np.array_equal(table[0], ar) and np.array_equal(table[:, 0], ar)):
         raise ValueError("index 0 must be a two-sided identity")
-    if not np.array_equal(np.sort(table, axis=1), np.tile(ar, (n, 1))):
+    # entries lie in [0, n), so n entries hitting every index is a permutation
+    hit = np.zeros((n, n), dtype=bool)
+    hit[ar[:, None], table] = True
+    if not hit.all():
         raise ValueError("rows must be permutations (Latin square)")
-    if not np.array_equal(np.sort(table, axis=0), np.tile(ar.reshape(-1, 1), (1, n))):
+    hit[:] = False
+    hit[table, ar] = True
+    if not hit.all():
         raise ValueError("columns must be permutations (Latin square)")
     return _audit_associativity(table)
 

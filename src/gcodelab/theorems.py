@@ -94,7 +94,7 @@ class EqualityWitness:
 
 
 def equality_analysis(
-    code: GCode, guard: int | None = None, threads: int = 1
+    code: GCode, guard: int | None = None
 ) -> EqualityWitness | None:
     """Extract the subgroup structure of a code with d*k = |G|.
 
@@ -108,7 +108,7 @@ def equality_analysis(
         raise ValueError("equality analysis needs a nonzero code")
     group, field = code.group, code.field
     n, k = code.length, code.dim
-    word = code.min_weight_codeword(guard=guard, threads=threads)
+    word = code.min_weight_codeword(guard=guard)
     d = word.weight()
     if d * k != n:
         if d * k < n:
@@ -536,7 +536,6 @@ def enumerate_cyclic_ideals(
 def verify_bound(
     group: Group,
     field: PrimeField,
-    threads: int = 1,
     guard: int | None = None,
     ideals: list[tuple[int, GCode]] | None = None,
 ) -> dict:
@@ -548,7 +547,7 @@ def verify_bound(
     even_rule = field.p == 2 and is_p_group(group, 2)
     for fidx, code in ideals:
         try:
-            rep = code.params(guard=guard, threads=threads)
+            rep = code.params(guard=guard)
             if even_rule and code.dim < group.order and rep.distance % 2 != 0:
                 raise VerificationError(
                     f"proper binary 2-group ideal has odd distance {rep.distance}"
@@ -566,7 +565,6 @@ def verify_bound(
 def verify_equality(
     group: Group,
     field: PrimeField,
-    threads: int = 1,
     guard: int | None = None,
     ideals: list[tuple[int, GCode]] | None = None,
 ) -> dict:
@@ -577,8 +575,8 @@ def verify_equality(
     failures: list[dict] = []
     for fidx, code in ideals:
         try:
-            rep = code.params(guard=guard, threads=threads)
-            witness = equality_analysis(code, guard=guard, threads=threads)
+            rep = code.params(guard=guard)
+            witness = equality_analysis(code, guard=guard)
             if (witness is not None) != rep.equality:
                 raise VerificationError(
                     f"witness presence {witness is not None} mismatches "
@@ -653,18 +651,15 @@ def verify_schur(
     }
 
 
-def verify_all(
-    group: Group, field: PrimeField, threads: int = 1, guard: int | None = None
-) -> dict:
+def verify_all(group: Group, field: PrimeField, guard: int | None = None) -> dict:
     """All four sweeps, sharing one orbit pass and one ideal enumeration."""
     orbits = sweep_orbits(group, field)
     uncertainty = verify_uncertainty(group, field, orbits=orbits)
     ideals = enumerate_cyclic_ideals(group, field, orbits=orbits)
-    scans = {"threads": threads, "guard": guard, "ideals": ideals}
     sections = {
         "uncertainty": uncertainty,
-        "bound": verify_bound(group, field, **scans),
-        "equality": verify_equality(group, field, **scans),
+        "bound": verify_bound(group, field, guard=guard, ideals=ideals),
+        "equality": verify_equality(group, field, guard=guard, ideals=ideals),
         "schur": verify_schur(group, field, ideals=ideals),
     }
     failures = [

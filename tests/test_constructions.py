@@ -1,5 +1,6 @@
 from math import comb
 
+import numpy as np
 import pytest
 
 import oracles
@@ -110,6 +111,30 @@ def test_golay_search_hits_and_verifies():
         result.code.group, result.code.field, [result.generator]
     )
     assert regenerated == result.code
+
+
+@pytest.mark.parametrize("seed, trial", [(0, 1276), (5, 2), (7, 1443), (15, 1346), (33, 820)])
+def test_golay_chunk_growth_keeps_the_trial_and_mask(monkeypatch, seed, trial):
+    # chunks of 512, 1024, ... must find what one 2^15 draw finds (the
+    # trials are those of one 2^15 draw); a first chunk of 3 puts chunk
+    # boundaries before every hit of these seeds
+    found = []
+    for first in (constructions._FIRST_CHUNK, 3, constructions._SEARCH_CHUNK):
+        monkeypatch.setattr(constructions, "_FIRST_CHUNK", first)
+        res = constructions.golay_search(1_000_000, seed)
+        found.append((res.trial, res.generator.to_text()))
+    assert found[0] == found[1] == found[2]
+    assert found[0][0] == trial
+
+
+def test_philox_draws_do_not_depend_on_chunking():
+    sizes = [1, 3, 512, 1024, 2048, 31_200]
+    single = np.random.Generator(np.random.Philox(key=7)).integers(
+        0, 1 << 24, size=sum(sizes), dtype=np.int64
+    )
+    rng = np.random.Generator(np.random.Philox(key=7))
+    parts = [rng.integers(0, 1 << 24, size=s, dtype=np.int64) for s in sizes]
+    assert np.array_equal(np.concatenate(parts), single)
 
 
 def test_golay_search_reproducible_across_threads(capsys):

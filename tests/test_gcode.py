@@ -1,9 +1,13 @@
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from test_acceptance import SWEEP_F2, SWEEP_F3
+from gcodelab import cli, constructions
 from gcodelab import gcode as gc
 from gcodelab import linalg, schur
 from gcodelab.errors import GuardExceeded
@@ -138,26 +142,79 @@ def test_min_distance_env_guard(monkeypatch):
     assert gc.enumeration_guard() == gc.DEFAULT_GUARD
 
 
-def test_min_distance_thread_determinism():
-    # 2^15 codewords fill two scan chunks; one code object per thread count,
-    # since a code keeps its first scan
-    one, three = (gc.augmentation_ideal(make_cyclic(16), F2) for _ in range(2))
-    assert one.min_distance(threads=1) == three.min_distance(threads=3) == 2
-    assert one.min_weight_codeword(threads=1) == three.min_weight_codeword(threads=3)
+def test_min_scan_is_deterministic_across_blocks():
+    # 2^18 messages of 70 bits (two words) span four combining blocks of
+    # 2^16; the minimum weight 17 is reached in the second block and again
+    # in the fourth, and the first of the two must win
+    rows = np.random.default_rng(8).integers(0, 2, size=(18, 70))
+    assert gc._split_scan(rows, 2) == oracles.min_scan_chunked(rows, 2) == (17, 92876)
+    # a code keeps its first scan, so a fresh code object must reach the same answer
+    one, two = (gc.augmentation_ideal(make_cyclic(16), F2) for _ in range(2))
+    assert one.min_distance() == two.min_distance() == 2
+    assert one.min_weight_codeword() == two.min_weight_codeword()
+
+
+@st.composite
+def scan_cases(draw):
+    """Rows over F_p for p in {2, 3, 5, 7} and one prime past the uint8 sum
+    range; widths on both sides of the 64-bit word boundary, k up to n."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 131)))
+    n = draw(st.sampled_from((1, 2, 3, 5, 8, 63, 64, 65, 130)))
+    k_max = min(n, {2: 12, 3: 7, 5: 5, 7: 4, 131: 2}[p])
+    k = draw(st.sampled_from(sorted({1, k_max, draw(st.integers(1, k_max))})))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = np.random.default_rng(seed).integers(0, p, size=(k, n))
+    if draw(st.booleans()):  # sparse rows: low weights, many ties
+        rows *= np.random.default_rng(seed + 1).random((k, n)) < 0.1
+    return rows, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+def test_split_scan_matches_the_chunked_scan_and_the_oracle(case):
+    rows, p = case
+    got = gc._split_scan(rows, p)
+    assert got == oracles.min_scan_chunked(rows, p)
+    if p ** rows.shape[0] * rows.shape[1] <= 1 << 14:
+        assert got[0] == oracles.min_distance_scan(rows.tolist(), p)
+
+
+def test_split_scan_on_every_acceptance_sweep_ideal():
+    checked = 0
+    for specs, field in ((SWEEP_F2, F2), (SWEEP_F3, F3)):
+        for spec in specs:
+            for _, code in enumerate_cyclic_ideals(from_spec(spec), field):
+                ref = oracles.min_scan_chunked(code.basis.matrix, field.p)
+                assert code._min_scan() == ref
+                checked += 1
+    assert checked == 154
+
+
+def test_rm_2_6_scan_is_pinned_and_fast(tmp_path, capsys):
+    code = constructions.reed_muller(2, 6)
+    assert code._min_scan() == (16, 1)
+    path = str(tmp_path / "rm26.json")
+    gc.save_code(code, path)
+    t0 = time.perf_counter()
+    rc = cli.run(["code", "params", "--code", path, "--json"])
+    elapsed = time.perf_counter() - t0
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0 and (out["n"], out["k"], out["d"]) == (64, 22, 16)
+    assert elapsed < 2.0  # 2^22 codewords: about 12 s by one digit matmul per message
 
 
 def test_min_scan_runs_once_per_code(monkeypatch):
     scanned = []
     scan = gc.GCode._min_scan
 
-    def counted(self, threads):
+    def counted(self):
         scanned.append(self)
-        return scan(self, threads)
+        return scan(self)
 
     monkeypatch.setattr(gc.GCode, "_min_scan", counted)
     code = gc.augmentation_ideal(C4, F2)
     assert code.min_distance() == 2
-    assert code.min_weight_codeword(threads=2).weight() == 2
+    assert code.min_weight_codeword().weight() == 2
     assert code.params().distance == 2
     assert scanned == [code]
 

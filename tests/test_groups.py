@@ -235,6 +235,15 @@ def test_corrupt_tables_rejected():
     bad[1, 1] = 1  # row 1 repeats an entry
     with pytest.raises(ValueError):
         groups.Group(bad)
+    s3 = groups.make_symmetric(3).table
+    row_repeat = s3.copy()
+    row_repeat[2, 3] = row_repeat[2, 4]  # row 2 repeats an entry
+    with pytest.raises(ValueError, match="rows must be permutations"):
+        groups.Group(row_repeat)
+    col_repeat = s3.copy()
+    col_repeat[2, [3, 4]] = col_repeat[2, [4, 3]]  # rows intact, columns 3, 4 repeat
+    with pytest.raises(ValueError, match="columns must be permutations"):
+        groups.Group(col_repeat)
     shifted = (c4.table + 1) % 4  # identity no longer at 0
     with pytest.raises(ValueError):
         groups.Group(shifted)

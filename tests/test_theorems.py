@@ -177,8 +177,8 @@ def test_enumerate_cyclic_ideals_c4():
 
 def test_verify_drivers_clean_and_deterministic():
     group = make_cyclic(4)
-    rep1 = theorems.verify_all(group, F2, threads=1)
-    rep2 = theorems.verify_all(group, F2, threads=2)
+    rep1 = theorems.verify_all(group, F2)
+    rep2 = theorems.verify_all(group, F2)
     assert rep1["failures"] == [] and rep1["checked"] > 0
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
 
@@ -274,10 +274,10 @@ def test_verify_all_scans_each_ideal_once(monkeypatch):
     scanned = {}  # id -> (code, scans); holding the code keeps its id unique
     scan = gc.GCode._min_scan
 
-    def counted(self, threads):
+    def counted(self):
         code, count = scanned.get(id(self), (self, 0))
         scanned[id(self)] = (code, count + 1)
-        return scan(self, threads)
+        return scan(self)
 
     monkeypatch.setattr(gc.GCode, "_min_scan", counted)
     rep = theorems.verify_all(C8, F2)
@@ -291,9 +291,9 @@ def test_verify_equality_scans_only_the_listed_ideals(monkeypatch):
     scanned = []
     scan = gc.GCode._min_scan
 
-    def counted(self, threads):
+    def counted(self):
         scanned.append(self)
-        return scan(self, threads)
+        return scan(self)
 
     monkeypatch.setattr(gc.GCode, "_min_scan", counted)
     c16 = make_cyclic(16)
