@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from itertools import permutations
-from math import gcd
 
 import numpy as np
 
@@ -57,7 +56,6 @@ class Group:
             raise ValueError("inverses are not two-sided")
         inv.setflags(write=False)
         self.inverse = inv
-        self.element_orders = _element_orders(table)
 
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
@@ -143,22 +141,6 @@ def _closure(table: np.ndarray, inside: np.ndarray) -> np.ndarray:
             break
         inside = grown
     return inside
-
-
-def _element_orders(table: np.ndarray) -> tuple[int, ...]:
-    n = table.shape[0]
-    base = np.arange(n)
-    cur = base.copy()
-    orders = np.zeros(n, dtype=np.int64)
-    orders[0] = 1
-    k = 1
-    while np.any(orders == 0):
-        k += 1
-        cur = table[cur, base]
-        orders[(orders == 0) & (cur == 0)] = k
-        if k > n:
-            raise ValueError("element order exceeds group order; table corrupt")
-    return tuple(int(o) for o in orders)
 
 
 class Subgroup:
@@ -265,10 +247,19 @@ def is_p_group(g: Group, p: int) -> bool:
 
 def normal_p_complement(g: Group, p: int) -> Subgroup | None:
     """The subgroup of p'-elements, when the p'-elements do form a normal
-    subgroup of index |G|_p; otherwise None.  Conjugating by the generators
-    is enough for normality, since the subgroup is finite."""
+    subgroup of index |G|_p; otherwise None.  An element's order divides
+    |G|, so it is prime to p exactly when it divides target = |G| / |G|_p:
+    square-and-multiply on the table finds the x with x^target = 1.
+    Conjugating by the generators is enough for normality, since the
+    subgroup is finite."""
     target = g.order // p_part(g, p)
-    members = [i for i in range(g.order) if gcd(g.element_orders[i], p) == 1]
+    power = np.zeros(g.order, dtype=np.int64)  # x^(target mod 2^i)
+    square = np.arange(g.order, dtype=np.int64)  # x^(2^i)
+    for i in range(target.bit_length()):
+        if target >> i & 1:
+            power = g.table[power, square]
+        square = g.table[square, square]
+    members = np.flatnonzero(power == 0).tolist()
     if len(members) != target or not is_subgroup(g, members):
         return None
     gens = np.array(g.generators, dtype=np.int64)

@@ -11,7 +11,7 @@ machine-checkable form of the structure results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,7 +102,8 @@ def equality_analysis(
     codeword so its support H contains the identity, then certifies that H
     is a subgroup, the code is generated by the translated word c, the ideal
     cKH is one-dimensional, and (over a p-group in characteristic p) the code
-    is the induced span of H-coset indicators.
+    is the induced span of H-coset indicators; elsewhere that induced span
+    meets d*k = |G| as well.
     """
     if code.is_zero():
         raise ValueError("equality analysis needs a nonzero code")
@@ -127,23 +128,23 @@ def equality_analysis(
         raise VerificationError("minimum-weight word fails to regenerate the code")
     if _restricted_rank(c, sub) != 1:
         raise VerificationError("restriction of the generator ideal is not a line")
-    if is_p_group(group, field.p):
-        if gc.trivial_induced(group, field, sub) != code:
+    # k = [G:H] = dim C, so the guard passes the induced code as it did the ideal
+    induced = gc.trivial_induced(group, field, sub)
+    if induced != code:
+        if is_p_group(group, field.p):
             raise VerificationError(
                 "p-group equality code is not the induced indicator span"
             )
+        if not induced.params(guard=guard).equality:
+            raise VerificationError("induced code misses the bound")
     e = idempotent_generator(code, sub, c)
     return EqualityWitness(sub, c, e)
 
 
 def _restricted_rank(c: AlgElem, sub: Subgroup) -> int:
     """Rank of multiplication by c on the subalgebra spanned by sub."""
-    group = c.group
-    mem = list(sub.members)
-    cols = []
-    for b in mem:
-        cols.append(c.right_translate(b).coeffs[mem])
-    return linalg.rank(np.array(cols, dtype=np.int64).T, c.field)
+    mem = sub.members
+    return linalg.rank(c.multiplication_matrix()[np.ix_(mem, mem)], c.field)
 
 
 def idempotent_generator(code: GCode, sub: Subgroup, c: AlgElem) -> AlgElem | None:
@@ -300,7 +301,7 @@ def solv_check(code: GCode) -> dict:
 # Rank by representative.  dim fF[G] is constant on an orbit, so the
 # uncertainty sweep, which must still visit every f for its weight and greedy
 # escape lengths, reads the rank of f from its orbit minimum.  Every
-# crosscheck_stride-th f is re-derived through uncertainty_check (rank of
+# _CROSSCHECK_STRIDE-th f is re-derived through uncertainty_check (rank of
 # f's own multiplication matrix), which audits that lookup as well.
 #
 # Greedy escape lengths work on bit-packed translate supports: with
@@ -312,6 +313,8 @@ def solv_check(code: GCode) -> dict:
 # by the bound, equality and Schur sections.
 
 _SWEEP_CHUNK = 1 << 10
+_SHUFFLE_SEED = 0  # the second greedy order is this seed's permutation
+_CROSSCHECK_STRIDE = 997  # every f with index divisible by it is re-derived
 
 
 class SweepOrbits(NamedTuple):
@@ -430,8 +433,6 @@ def _greedy_lengths(
 def verify_uncertainty(
     group: Group,
     field: PrimeField,
-    shuffle_seed: int = 0,
-    crosscheck_stride: int = 997,
     sample: int | None = None,
     sample_seed: int = 0,
     orbits: SweepOrbits | None = None,
@@ -441,7 +442,7 @@ def verify_uncertainty(
 
     Exhaustive mode reads the rank of f from its orbit minimum (`orbits`,
     computed here when not given); sampled mode eliminates the sampled f
-    themselves.  Every crosscheck_stride-th f is re-verified through the
+    themselves.  Every _CROSSCHECK_STRIDE-th f is re-verified through the
     public uncertainty_check path (full matrix rank of f itself), which
     audits the packed masks and the rank lookup.
     """
@@ -449,7 +450,7 @@ def verify_uncertainty(
     W = _translate_weights(group)
     full = (1 << n) - 1
     natural = np.arange(n)
-    shuffled = np.random.default_rng(shuffle_seed).permutation(n)
+    shuffled = np.random.default_rng(_SHUFFLE_SEED).permutation(n)
     if sample is None:
         if orbits is None:
             orbits = sweep_orbits(group, field)
@@ -477,7 +478,7 @@ def verify_uncertainty(
             | (ranks < t_nat)
             | (ranks < t_shuf)
             | (weights * ranks < n)
-            | (idx % crosscheck_stride == 0)
+            | (idx % _CROSSCHECK_STRIDE == 0)
         )
         for j in np.flatnonzero(suspect).tolist():
             w, rho = int(weights[j]), int(ranks[j])
@@ -490,7 +491,7 @@ def verify_uncertainty(
                     )
                 if w * rho < n:
                     raise VerificationError(f"product {w * rho} below {n}")
-                if idx[j] % crosscheck_stride == 0:
+                if idx[j] % _CROSSCHECK_STRIDE == 0:
                     ref = uncertainty_check(AlgElem(group, field, digits[j]))
                     if (ref.weight, ref.rank) != (w, rho):
                         raise VerificationError(
@@ -533,25 +534,20 @@ def enumerate_cyclic_ideals(
     return out
 
 
-def verify_bound(
+def _each_ideal(
     group: Group,
     field: PrimeField,
-    guard: int | None = None,
-    ideals: list[tuple[int, GCode]] | None = None,
+    ideals: list[tuple[int, GCode]] | None,
+    check: Callable[[GCode], None],
 ) -> dict:
-    """Every cyclic ideal satisfies the product and sum bounds; over a binary
-    2-group every proper ideal has even minimum distance."""
+    """Run check(code) on each listed ideal (every cyclic ideal when None)
+    and report each VerificationError under the ideal's generator index."""
     if ideals is None:
         ideals = enumerate_cyclic_ideals(group, field)
     failures: list[dict] = []
-    even_rule = field.p == 2 and is_p_group(group, 2)
     for fidx, code in ideals:
         try:
-            rep = code.params(guard=guard)
-            if even_rule and code.dim < group.order and rep.distance % 2 != 0:
-                raise VerificationError(
-                    f"proper binary 2-group ideal has odd distance {rep.distance}"
-                )
+            check(code)
         except VerificationError as exc:
             failures.append({"f": fidx, "reason": str(exc)})
     return {
@@ -560,6 +556,26 @@ def verify_bound(
         "checked": len(ideals),
         "failures": failures,
     }
+
+
+def verify_bound(
+    group: Group,
+    field: PrimeField,
+    guard: int | None = None,
+    ideals: list[tuple[int, GCode]] | None = None,
+) -> dict:
+    """Every cyclic ideal satisfies the product and sum bounds; over a binary
+    2-group every proper ideal has even minimum distance."""
+    even_rule = field.p == 2 and is_p_group(group, 2)
+
+    def check(code: GCode) -> None:
+        rep = code.params(guard=guard)
+        if even_rule and code.dim < group.order and rep.distance % 2 != 0:
+            raise VerificationError(
+                f"proper binary 2-group ideal has odd distance {rep.distance}"
+            )
+
+    return _each_ideal(group, field, ideals, check)
 
 
 def verify_equality(
@@ -570,36 +586,23 @@ def verify_equality(
 ) -> dict:
     """The equality witnesses exist exactly on the d*k = |G| ideals, induced
     spans round-trip, and idempotents appear exactly off the characteristic."""
-    if ideals is None:
-        ideals = enumerate_cyclic_ideals(group, field)
-    failures: list[dict] = []
-    for fidx, code in ideals:
-        try:
-            rep = code.params(guard=guard)
-            witness = equality_analysis(code, guard=guard)
-            if (witness is not None) != rep.equality:
+
+    def check(code: GCode) -> None:
+        rep = code.params(guard=guard)
+        witness = equality_analysis(code, guard=guard)
+        if (witness is not None) != rep.equality:
+            raise VerificationError(
+                f"witness presence {witness is not None} mismatches "
+                f"equality flag {rep.equality}"
+            )
+        if witness is not None:
+            has_e = witness.idempotent is not None
+            if has_e != (rep.distance % field.p != 0):
                 raise VerificationError(
-                    f"witness presence {witness is not None} mismatches "
-                    f"equality flag {rep.equality}"
+                    "idempotent presence disagrees with the distance residue"
                 )
-            if witness is not None:
-                # rep.equality already holds for an induced code equal to this one
-                induced = gc.trivial_induced(group, field, witness.subgroup)
-                if induced != code and not induced.params(guard=guard).equality:
-                    raise VerificationError("induced code misses the bound")
-                has_e = witness.idempotent is not None
-                if has_e != (rep.distance % field.p != 0):
-                    raise VerificationError(
-                        "idempotent presence disagrees with the distance residue"
-                    )
-        except VerificationError as exc:
-            failures.append({"f": fidx, "reason": str(exc)})
-    return {
-        "group": group.name,
-        "p": field.p,
-        "checked": len(ideals),
-        "failures": failures,
-    }
+
+    return _each_ideal(group, field, ideals, check)
 
 
 _PAIRWISE_PRODUCT_CAP = 8  # group order up to which all ideal pairs are multiplied
@@ -612,43 +615,36 @@ def verify_schur(
 ) -> dict:
     """Schur-square clauses on every cyclic ideal, fixed-point extraction on
     the Schur-fixed ones, chain stabilization over F_2, and (on small groups)
-    closure of every pairwise product."""
+    closure of every pairwise product.
+
+    Each ideal gets one power chain: to the end over F_2, to the square
+    elsewhere.  A chain that stops at once with period 1 has met a
+    Schur-fixed code, whose square is itself."""
     if ideals is None:
         ideals = enumerate_cyclic_ideals(group, field)
-    failures: list[dict] = []
-    for fidx, code in ideals:
-        try:
-            square = schur.schur_product(code, code)
-            _square_clauses(code, square)
-            if square == code:
-                sub = schur.fixed_point_structure(code)
-                if len(sub) * code.dim != group.order:
-                    raise VerificationError(
-                        "Schur-fixed code misses the product equality"
-                    )
-            if field.p == 2:
-                chain = schur.schur_power_chain(code)
-                if not chain.complete or chain.period != 1:
-                    raise VerificationError("binary chain failed to stabilize")
-        except VerificationError as exc:
-            failures.append({"f": fidx, "reason": str(exc)})
-    pair_checked = 0
+    binary = field.p == 2
+
+    def check(code: GCode) -> None:
+        chain = schur.schur_power_chain(code, max_t=None if binary else 2)
+        fixed = len(chain.codes) == 1
+        _square_clauses(code, code if fixed else chain.codes[1])
+        if fixed and len(chain.stabilizer_subgroup) * code.dim != group.order:
+            raise VerificationError("Schur-fixed code misses the product equality")
+        if binary and (not chain.complete or chain.period != 1):
+            raise VerificationError("binary chain failed to stabilize")
+
+    report = _each_ideal(group, field, ideals, check)
     if group.order <= _PAIRWISE_PRODUCT_CAP:
         for i, (fi, a) in enumerate(ideals):
             for fj, b in ideals[i:]:
                 try:
                     schur.schur_product(a, b)  # closure asserted at construction
                 except (VerificationError, ValueError) as exc:
-                    failures.append(
+                    report["failures"].append(
                         {"f": (fi, fj), "reason": f"pairwise product: {exc}"}
                     )
-                pair_checked += 1
-    return {
-        "group": group.name,
-        "p": field.p,
-        "checked": len(ideals) + pair_checked,
-        "failures": failures,
-    }
+                report["checked"] += 1
+    return report
 
 
 def verify_all(group: Group, field: PrimeField, guard: int | None = None) -> dict:

@@ -134,17 +134,22 @@ def subgroup_bfs(table, inverse, seeds):
     return members
 
 
+def element_orders_scan(table):
+    """Order of each element, by repeated product until the identity."""
+    orders = []
+    for g in range(len(table)):
+        x, order = g, 1
+        while x != 0:
+            x, order = table[x][g], order + 1
+        orders.append(order)
+    return orders
+
+
 def normal_complement_scan(table, inverse, p):
     """The p'-elements, when they form a normal subgroup whose index is the
     p-part of the order; otherwise None.  Element orders by repeated product."""
     n = len(table)
-    members = []
-    for g in range(n):
-        x, order = g, 1
-        while x != 0:
-            x, order = table[x][g], order + 1
-        if order % p:
-            members.append(g)
+    members = [g for g, order in enumerate(element_orders_scan(table)) if order % p]
     p_part = 1
     while n % (p_part * p) == 0:
         p_part *= p

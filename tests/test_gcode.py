@@ -73,10 +73,11 @@ def _candidate_subspaces(group, field, rng):
     for _ in range(3):
         f = AlgElem(group, field, rng.integers(0, p, size=n))
         yield gc.ideal_from_generators(group, field, [f]).basis
+    orders = oracles.element_orders_scan(group.table.tolist())
     for g in range(1, n):
         v = AlgElem(group, field, rng.integers(0, p, size=n))
         orbit = [v]
-        while len(orbit) < group.element_orders[g]:
+        while len(orbit) < orders[g]:
             orbit.append(orbit[-1].right_translate(g))
         yield linalg.rref(np.array([w.coeffs for w in orbit]), field, width=n)
 

@@ -239,14 +239,15 @@ def test_sweep_orbits_ranks_match_matrix_rank():
         assert orbits.rank_of[fidx] == linalg.rank(f.multiplication_matrix(), F2)
 
 
-def test_uncertainty_audit_catches_a_wrong_rank_lookup():
+def test_uncertainty_audit_catches_a_wrong_rank_lookup(monkeypatch):
+    monkeypatch.setattr(theorems, "_CROSSCHECK_STRIDE", 1)
     group = make_cyclic(4)
     orbits = theorems.sweep_orbits(group, F2)
     orbits.rank_of[5] += 1  # a corrupted orbit lookup
-    rep = theorems.verify_uncertainty(group, F2, crosscheck_stride=1, orbits=orbits)
+    rep = theorems.verify_uncertainty(group, F2, orbits=orbits)
     assert [f["f"] for f in rep["failures"]] == [5]
     assert "fast path disagrees with matrix path" in rep["failures"][0]["reason"]
-    clean = theorems.verify_uncertainty(group, F2, crosscheck_stride=1)
+    clean = theorems.verify_uncertainty(group, F2)
     assert clean["failures"] == [] and clean["checked"] == 15
 
 
@@ -303,6 +304,63 @@ def test_verify_equality_scans_only_the_listed_ideals(monkeypatch):
     assert sorted(map(id, scanned)) == sorted(id(code) for _, code in ideals)
 
 
+@pytest.mark.parametrize("spec, p", [("cyclic:16", 2), ("cyclic:9", 3)])
+def test_verify_schur_squares_each_ideal_once(spec, p, monkeypatch):
+    # both orders lie above the pairwise cap, so every product is a power
+    squares = {}  # id -> (code, count); holding the code keeps its id unique
+    product = theorems.schur.schur_product
+
+    def counted(a, b):
+        if a is b:
+            code, count = squares.get(id(a), (a, 0))
+            squares[id(a)] = (code, count + 1)
+        return product(a, b)
+
+    monkeypatch.setattr(theorems.schur, "schur_product", counted)
+    group, field = from_spec(spec), PrimeField(p)
+    ideals = theorems.enumerate_cyclic_ideals(group, field)
+    assert group.order > theorems._PAIRWISE_PRODUCT_CAP
+    rep = theorems.verify_schur(group, field, ideals=ideals)
+    assert rep["failures"] == [] and rep["checked"] == len(ideals)
+    assert all(squares.get(id(code), (code, 0))[1] == 1 for _, code in ideals)
+
+
+def test_verify_equality_builds_each_witness_code_once(monkeypatch):
+    built = []
+    induced = gc.trivial_induced
+
+    def counted(group, field, sub):
+        built.append(sub.members)
+        return induced(group, field, sub)
+
+    monkeypatch.setattr(gc, "trivial_induced", counted)
+    c16 = make_cyclic(16)
+    rep = theorems.verify_equality(c16, F2)
+    assert rep["failures"] == [] and len(built) == len(set(built)) == 5
+
+    # C6 is not a 3-group: two witness codes differ from their ideal, so the
+    # bound is checked on the witness code itself
+    c6 = make_cyclic(6)
+    ideals = theorems.enumerate_cyclic_ideals(c6, F3)
+    witnesses = {fidx: theorems.equality_analysis(code) for fidx, code in ideals}
+    certified = [fidx for fidx, w in witnesses.items() if w is not None]
+    differ = [
+        fidx
+        for fidx, code in ideals
+        if fidx in certified and induced(c6, F3, witnesses[fidx].subgroup) != code
+    ]
+    assert differ == [29, 455]
+
+    def zero_code(group, field, sub):
+        return gc.zero_code(group, field)
+
+    monkeypatch.setattr(gc, "trivial_induced", zero_code)
+    rep = theorems.verify_equality(c6, F3, ideals=ideals)
+    assert rep["failures"] == [
+        {"f": fidx, "reason": "induced code misses the bound"} for fidx in certified
+    ]
+
+
 def test_sample_indices_past_int64():
     # 3^40 - 1 does not fit in int64: digit vectors are drawn instead
     picks = theorems._sample_indices(40, 3, 50, seed=1)
@@ -317,7 +375,9 @@ def test_sample_indices_past_int64():
     assert small.tolist() == sorted(expected.tolist())
 
 
-# `verify all --json` recorded before the orbit-pruned sweep engine existed
+# `verify all --json`: the first four recorded before the orbit-pruned sweep
+# engine existed, the last three before the sections shared one per-ideal
+# driver
 VERIFY_ALL_GOLDEN = {
     ("dihedral:4", 2): (
         '{"checked":502,"failures":[],"group":"D4","p":2,"sections":{'
@@ -346,6 +406,27 @@ VERIFY_ALL_GOLDEN = {
         '"equality":{"checked":5,"failures":[],"group":"C5","p":5},'
         '"schur":{"checked":20,"failures":[],"group":"C5","p":5},'
         '"uncertainty":{"checked":3124,"failures":[],"group":"C5","p":5}}}\n'
+    ),
+    ("cyclic:6", 3): (
+        '{"checked":893,"failures":[],"group":"C6","p":3,"sections":{'
+        '"bound":{"checked":15,"failures":[],"group":"C6","p":3},'
+        '"equality":{"checked":15,"failures":[],"group":"C6","p":3},'
+        '"schur":{"checked":135,"failures":[],"group":"C6","p":3},'
+        '"uncertainty":{"checked":728,"failures":[],"group":"C6","p":3}}}\n'
+    ),
+    ("cyclic:9", 3): (
+        '{"checked":19709,"failures":[],"group":"C9","p":3,"sections":{'
+        '"bound":{"checked":9,"failures":[],"group":"C9","p":3},'
+        '"equality":{"checked":9,"failures":[],"group":"C9","p":3},'
+        '"schur":{"checked":9,"failures":[],"group":"C9","p":3},'
+        '"uncertainty":{"checked":19682,"failures":[],"group":"C9","p":3}}}\n'
+    ),
+    ("cyclic:12", 2): (
+        '{"checked":4167,"failures":[],"group":"C12","p":2,"sections":{'
+        '"bound":{"checked":24,"failures":[],"group":"C12","p":2},'
+        '"equality":{"checked":24,"failures":[],"group":"C12","p":2},'
+        '"schur":{"checked":24,"failures":[],"group":"C12","p":2},'
+        '"uncertainty":{"checked":4095,"failures":[],"group":"C12","p":2}}}\n'
     ),
 }
 
