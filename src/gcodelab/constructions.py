@@ -88,14 +88,14 @@ def rm_schur_square_check(r: int, m: int) -> dict:
 
 @dataclass(frozen=True)
 class GolaySearchResult:
-    """A verified [24,12,8] self-dual ideal plus the trial that produced it."""
+    """A verified [24,12,8] ideal plus the trial that produced it; the code is
+    always self-dual (checked by `golay_search`) and keeps its scan."""
 
     code: GCode
     trial: int
     generator: AlgElem
 
 
-_GOLAY_N = 24
 _GOLAY_DIM = 12
 _GOLAY_DIST = 8
 _FIRST_CHUNK = 1 << 9  # hits come about once in 325 trials
@@ -111,17 +111,20 @@ def golay_search(budget: int, seed: int) -> GolaySearchResult | None:
     (budget, seed): the stream does not depend on how it is chunked, and
     chunks start small and double, since most searches hit early.
     Exhausting the budget without a hit returns None, a normal outcome.
+    The winner is rebuilt from its generator by the generic F_p elimination
+    and must equal the candidate the search scanned.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     field = PrimeField(2)
     group = make_symmetric(4)
     n = group.order
+    shifts = np.arange(n)
     weights = np.int64(1) << group.table.astype(np.int64)
     rng = np.random.Generator(np.random.Philox(key=seed))
 
-    def scan(start: int, masks: np.ndarray) -> tuple[int, int] | None:
-        bits = ((masks[:, None] >> np.arange(n)) & 1).astype(np.int64)
+    def scan(start: int, masks: np.ndarray) -> tuple[int, int, GCode] | None:
+        bits = (masks[:, None] >> shifts) & 1
         col_masks = bits @ weights
         for t in range(masks.shape[0]):
             if masks[t] == 0:
@@ -129,16 +132,15 @@ def golay_search(budget: int, seed: int) -> GolaySearchResult | None:
             rows = col_masks[t].tolist()
             if linalg.f2_rank(rows, limit=_GOLAY_DIM) != _GOLAY_DIM:
                 continue
-            key = linalg.f2_rref(rows)
-            matrix = linalg.f2_rows_to_matrix(list(key), n)
-            pivots = [int(v & -v).bit_length() - 1 for v in key]
-            code = GCode(group, linalg.RowBasis(matrix, pivots, field))
+            key = np.array(linalg.f2_rref(rows), dtype=np.int64)
+            matrix = (key[:, None] >> shifts) & 1
+            code = GCode(group, linalg.RowBasis(matrix, matrix.argmax(axis=1), field))
             if code.min_distance() != _GOLAY_DIST:
                 continue
-            return start + t, int(masks[t])
+            return start + t, int(masks[t]), code
         return None
 
-    hit: tuple[int, int] | None = None
+    hit: tuple[int, int, GCode] | None = None
     produced, chunk = 0, _FIRST_CHUNK
     while hit is None and produced < budget:
         size = min(chunk, budget - produced)
@@ -148,14 +150,10 @@ def golay_search(budget: int, seed: int) -> GolaySearchResult | None:
         chunk = min(2 * chunk, _SEARCH_CHUNK)
     if hit is None:
         return None
-    trial, mask = hit
-    gen = AlgElem(group, field, [(mask >> i) & 1 for i in range(n)])
-    code = gc.ideal_from_generators(group, field, [gen])
-    rep = code.params()
-    if (rep.dimension, rep.distance) != (_GOLAY_DIM, _GOLAY_DIST):
+    trial, mask, code = hit
+    gen = AlgElem(group, field, (mask >> shifts) & 1)
+    if gc.ideal_from_generators(group, field, [gen]) != code:
         raise VerificationError("winning trial failed re-verification")
     if code.dual() != code:
         raise VerificationError("winning trial is not self-dual")
-    if rep.product != _GOLAY_DIM * _GOLAY_DIST:
-        raise VerificationError("parameter product mismatch")
     return GolaySearchResult(code, trial, gen)

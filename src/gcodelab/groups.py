@@ -260,13 +260,17 @@ def normal_p_complement(g: Group, p: int) -> Subgroup | None:
             power = g.table[power, square]
         square = g.table[square, square]
     members = np.flatnonzero(power == 0).tolist()
-    if len(members) != target or not is_subgroup(g, members):
+    if len(members) != target:
+        return None
+    try:
+        sub = Subgroup(g, members)
+    except ValueError:
         return None
     gens = np.array(g.generators, dtype=np.int64)
     conjugates = g.table[g.table[gens[:, None], members], g.inverse[gens, None]]
     if not np.isin(conjugates, members).all():
         return None
-    return Subgroup(g, members)
+    return sub
 
 
 # --- constructors -----------------------------------------------------------

@@ -12,8 +12,8 @@ the package byte-stable across runs and thread counts.
 `rref_stack` runs the same reduction on a whole (B, r, c) stack of matrices
 at once; the exhaustive sweeps eliminate through it for every p.  For p = 2
 there is also a bit-packed path (one Python int per row, bit c = column c)
-used by the seeded ideal search.  Both are cross-checked against the generic
-path in the test suite.
+used by the seeded ideal search, which unpacks the reduced rows with numpy
+shifts.  Both are cross-checked against the generic path in the test suite.
 """
 
 from __future__ import annotations
@@ -236,15 +236,11 @@ def kernel(a, field: PrimeField, width: int | None = None) -> RowBasis:
     m = as_matrix(a, field, width)
     ncols = m.shape[1]
     reduced, pivots = _rref_array(m, field)
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    if not free:
-        return rref(np.zeros((0, ncols), dtype=np.int64), field, width=ncols)
+    free = np.setdiff1d(np.arange(ncols), pivots)
     vecs = np.zeros((len(free), ncols), dtype=np.int64)
-    for row, fc in enumerate(free):
-        vecs[row, fc] = 1
-        for r, pc in enumerate(pivots):
-            vecs[row, pc] = (-reduced[r, fc]) % field.p
-    return rref(vecs, field)
+    vecs[:, free] = np.eye(len(free), dtype=np.int64)
+    vecs[:, pivots] = (-reduced[:, free].T) % field.p
+    return rref(vecs, field, width=ncols)
 
 
 def subspace_sum(a: RowBasis, b: RowBasis) -> RowBasis:
@@ -313,15 +309,3 @@ def f2_rref(rows: Iterable[int]) -> tuple[int, ...]:
                 basis[pb] ^= v
         basis[low] = v
     return tuple(basis[b] for b in sorted(basis))
-
-
-def f2_rows_to_matrix(rows: Sequence[int], width: int) -> np.ndarray:
-    """Unpack bit rows into an int64 matrix of the given width."""
-    out = np.zeros((len(rows), width), dtype=np.int64)
-    for i, v in enumerate(rows):
-        while v:
-            low = v & -v
-            out[i, low.bit_length() - 1] = 1
-            v ^= low
-    return out
-

@@ -21,7 +21,7 @@ from .errors import UnsupportedCover, VerificationError
 from .ffield import PrimeField
 from .galg import AlgElem
 from .gcode import GCode
-from .groups import Group, Subgroup, is_p_group, is_subgroup, normal_p_complement, p_part
+from .groups import Group, Subgroup, is_p_group, normal_p_complement, p_part
 
 
 class UncertaintyResult(NamedTuple):
@@ -118,9 +118,10 @@ def equality_analysis(
     h0 = min(word.support())
     c = word.right_translate(int(group.inverse[h0]))
     members = sorted(c.support())
-    if not is_subgroup(group, members):
-        raise VerificationError("minimum-weight support is not a subgroup")
-    sub = Subgroup(group, members)
+    try:
+        sub = Subgroup(group, members)
+    except ValueError:
+        raise VerificationError("minimum-weight support is not a subgroup") from None
     if len(sub) != d:
         raise VerificationError("support size differs from the minimum distance")
     regenerated = gc.ideal_from_generators(group, field, [c])

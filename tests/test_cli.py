@@ -104,6 +104,42 @@ def test_usage_errors():
                     "--gen", "1,1"]) == 2  # non-prime modulus
 
 
+def test_parser_is_built_once_per_process(capsys):
+    cli._parser.cache_clear()
+    for argv in (["nonsense"], ["group", "show", "--group", "cyclic:2"],
+                 ["code", "params", "--group", "cyclic:2", "--p", "3", "--gen", "1,2"]):
+        cli.run(argv)
+    capsys.readouterr()
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+_MIXED = [
+    (["code", "params", "--group", "cyclic:2", "--bogus"], 2),
+    (["--help"], 0),
+    (["verify", "all", "--group", "cyclic:4", "--p", "2", "--json"], 0),
+    (["search", "golay", "--budget", "20000", "--seed", "77", "--json"], 0),
+    (["code", "params", "--group", "cyclic:4", "--p", "2",
+      "--gen", "1,0,0,0", "--guard", "4"], 2),
+]
+
+
+def test_shared_parser_gives_each_command_its_own_output(capsys):
+    alone = []
+    for argv, _ in _MIXED:
+        cli._parser.cache_clear()
+        code = cli.run(argv)
+        alone.append((code, capsys.readouterr()))
+    assert [code for code, _ in alone] == [code for _, code in _MIXED]
+    cli._parser.cache_clear()
+    for _ in range(2):
+        together = []
+        for argv, _ in _MIXED:
+            code = cli.run(argv)
+            together.append((code, capsys.readouterr()))
+        assert together == alone
+
+
 def test_field_alias_flag(capsys):
     code, lines = run_lines(
         capsys,

@@ -1,11 +1,14 @@
+import json
 from math import comb
 
 import numpy as np
 import pytest
 
 import oracles
-from gcodelab import cli, constructions, gcode as gc, schur
+from gcodelab import cli, constructions, gcode as gc, groups, linalg, schur
+from gcodelab.errors import VerificationError
 from gcodelab.ffield import PrimeField
+from gcodelab.galg import AlgElem
 
 F2 = PrimeField(2)
 
@@ -125,6 +128,39 @@ def test_golay_chunk_growth_keeps_the_trial_and_mask(monkeypatch, seed, trial):
         found.append((res.trial, res.generator.to_text()))
     assert found[0] == found[1] == found[2]
     assert found[0][0] == trial
+
+
+def test_search_golay_scans_and_dualizes_the_winner_once(monkeypatch, capsys):
+    scanned, kernels = [], []
+    scan, kernel = gc.GCode._min_scan, linalg.kernel
+
+    def counted_scan(self):
+        scanned.append(self)
+        return scan(self)
+
+    def counted_kernel(*args, **kwargs):
+        kernels.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(gc.GCode, "_min_scan", counted_scan)
+    monkeypatch.setattr(linalg, "kernel", counted_kernel)
+    argv = ["search", "golay", "--budget", "1000000", "--seed", "5", "--json"]
+    assert cli.run(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["trial"], out["d"], out["self_dual"]) == (2, 8, True)
+    s4 = groups.make_symmetric(4)
+    winner = gc.ideal_from_generators(s4, F2, [AlgElem.from_text(s4, F2, out["generator"])])
+    assert sum(code == winner for code in scanned) == 1
+    assert len(kernels) == 1
+
+
+def test_golay_winner_must_equal_its_rebuilt_ideal(monkeypatch):
+    monkeypatch.setattr(
+        gc, "ideal_from_generators",
+        lambda group, field, gens: gc.augmentation_ideal(group, field),
+    )
+    with pytest.raises(VerificationError, match="winning trial failed re-verification"):
+        constructions.golay_search(1_000_000, seed=5)
 
 
 def test_philox_draws_do_not_depend_on_chunking():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 
@@ -9,7 +10,7 @@ import oracles
 from test_acceptance import SWEEP_F2, SWEEP_F3
 from gcodelab import cli, constructions
 from gcodelab import gcode as gc
-from gcodelab import linalg, schur
+from gcodelab import groups, linalg, schur
 from gcodelab.errors import GuardExceeded
 from gcodelab.ffield import PrimeField
 from gcodelab.galg import AlgElem
@@ -51,6 +52,28 @@ def test_trivial_induced_examples():
     assert code.min_distance() == 2
     rep = code.params()
     assert (rep.dimension, rep.distance, rep.product, rep.equality) == (2, 2, 4, True)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:8", "dihedral:4", "quaternion8", "symmetric:3", "cyclic:6"])
+def test_trivial_induced_rows_are_already_canonical(spec):
+    # the coset-indicator rows go to RowBasis without an elimination; they
+    # must be exactly what rref makes of them, for every subgroup
+    group = from_spec(spec)
+    n = group.order
+    subgroups = [
+        Subgroup(group, members)
+        for size in range(1, n + 1)
+        for members in itertools.combinations(range(n), size)
+        if members[0] == 0 and groups.is_subgroup(group, members)
+    ]
+    assert len(subgroups) >= 4
+    for field in (F2, PrimeField(3)):
+        for h in subgroups:
+            rows = np.zeros((h.index, n), dtype=np.int64)
+            for i, block in enumerate(groups.right_cosets(group, h)):
+                rows[i, block] = 1
+            code = gc.trivial_induced(group, field, h)
+            assert code.basis == linalg.rref(rows, field, width=n)
 
 
 def test_is_ideal():

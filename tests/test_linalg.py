@@ -179,6 +179,18 @@ def test_rank_matches_oracle_fuzz(case):
     assert linalg.rank(m, field) == oracles.rank_mod_p(m.tolist(), p)
 
 
+@settings(max_examples=60, deadline=None)
+@given(algebra_cases)
+def test_kernel_is_the_whole_null_space(case):
+    p, rows, cols, seed = case
+    field = PrimeField(p)
+    m = np.random.default_rng(seed).integers(0, p, size=(rows, cols))
+    ker = linalg.kernel(m, field)
+    assert ker.dim == cols - oracles.rank_mod_p(m.tolist(), p)
+    assert not np.any((m @ ker.matrix.T) % p)
+    assert ker == linalg.rref(ker.matrix, field, width=cols)
+
+
 def test_f2_fast_path_matches_generic():
     rng = np.random.default_rng(11)
     for _ in range(60):
@@ -186,8 +198,8 @@ def test_f2_fast_path_matches_generic():
         m = rng.integers(0, 2, size=(rows, cols))
         masks = [int(row @ (1 << np.arange(cols))) for row in m]
         assert linalg.f2_rank(masks) == linalg.rank(m, F2)
-        packed = linalg.f2_rref(masks)
-        unpacked = linalg.f2_rows_to_matrix(list(packed), int(cols))
+        packed = np.array(linalg.f2_rref(masks), dtype=np.int64).reshape(-1, 1)
+        unpacked = (packed >> np.arange(cols)) & 1
         assert np.array_equal(unpacked, linalg.rref(m, F2).matrix)
 
 

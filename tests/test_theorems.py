@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gcodelab import constructions, gcode as gc, linalg, theorems
+from gcodelab import constructions, gcode as gc, groups, linalg, schur, theorems
 from gcodelab.errors import UnsupportedCover
 from gcodelab.ffield import PrimeField
 from gcodelab.galg import AlgElem
@@ -77,6 +77,40 @@ def test_equality_analysis_round_trip_c8_subgroups():
         assert witness.generator.support() == set(h.members)
         # idempotent exists only for the trivial subgroup (odd order)
         assert (witness.idempotent is not None) == (len(h) == 1)
+
+
+def test_each_subgroup_is_certified_once(monkeypatch):
+    # normal_p_complement, equality_analysis and fixed_point_structure build
+    # the Subgroup directly; its constructor is the one subgroup test
+    c16 = make_cyclic(16)
+    d15 = from_spec("dihedral:15")
+    ideals = [code for _, code in theorems.enumerate_cyclic_ideals(c16, F2)]
+    fixed = gc.trivial_induced(c16, F2, Subgroup(c16, [0, 4, 8, 12]))
+    calls = []
+    real = groups.is_subgroup
+
+    def counted(g, members):
+        calls.append(tuple(members))
+        return real(g, members)
+
+    monkeypatch.setattr(groups, "is_subgroup", counted)
+    # the verifiers may hold a reference of their own
+    monkeypatch.setattr(theorems, "is_subgroup", counted, raising=False)
+    monkeypatch.setattr(schur, "is_subgroup", counted, raising=False)
+
+    comp = groups.normal_p_complement(d15, 2)
+    assert comp is not None and len(comp) == 15
+    assert len(calls) == 1
+
+    calls.clear()
+    witnesses = [theorems.equality_analysis(code) for code in ideals]
+    certified = sum(w is not None for w in witnesses)
+    assert certified >= 4
+    assert len(calls) == certified
+
+    calls.clear()
+    assert schur.fixed_point_structure(fixed).members == (0, 4, 8, 12)
+    assert len(calls) == 1
 
 
 def test_equality_analysis_ternary_line():
