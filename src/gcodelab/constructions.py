@@ -111,7 +111,9 @@ def golay_search(budget: int, seed: int) -> GolaySearchResult | None:
     (budget, seed): the stream does not depend on how it is chunked, and
     chunks start small and double, since most searches hit early.
     Exhausting the budget without a hit returns None, a normal outcome.
-    The winner is rebuilt from its generator by the generic F_p elimination
+    A candidate of dimension 12 has its distance scanned from its rows; only
+    the winner becomes a GCode (validated as an ideal, scanned again and
+    kept).  It is rebuilt from its generator by the generic F_p elimination
     and must equal the candidate the search scanned.
     """
     if budget < 0:
@@ -123,7 +125,7 @@ def golay_search(budget: int, seed: int) -> GolaySearchResult | None:
     weights = np.int64(1) << group.table.astype(np.int64)
     rng = np.random.Generator(np.random.Philox(key=seed))
 
-    def scan(start: int, masks: np.ndarray) -> tuple[int, int, GCode] | None:
+    def scan(start: int, masks: np.ndarray) -> tuple[int, int, np.ndarray] | None:
         bits = (masks[:, None] >> shifts) & 1
         col_masks = bits @ weights
         for t in range(masks.shape[0]):
@@ -134,13 +136,14 @@ def golay_search(budget: int, seed: int) -> GolaySearchResult | None:
                 continue
             key = np.array(linalg.f2_rref(rows), dtype=np.int64)
             matrix = (key[:, None] >> shifts) & 1
-            code = GCode(group, linalg.RowBasis(matrix, matrix.argmax(axis=1), field))
-            if code.min_distance() != _GOLAY_DIST:
+            # the rows span a right ideal by construction: a losing candidate
+            # needs its distance only, not a validated GCode
+            if gc._split_scan(matrix, 2)[0] != _GOLAY_DIST:
                 continue
-            return start + t, int(masks[t]), code
+            return start + t, int(masks[t]), matrix
         return None
 
-    hit: tuple[int, int, GCode] | None = None
+    hit: tuple[int, int, np.ndarray] | None = None
     produced, chunk = 0, _FIRST_CHUNK
     while hit is None and produced < budget:
         size = min(chunk, budget - produced)
@@ -150,7 +153,10 @@ def golay_search(budget: int, seed: int) -> GolaySearchResult | None:
         chunk = min(2 * chunk, _SEARCH_CHUNK)
     if hit is None:
         return None
-    trial, mask, code = hit
+    trial, mask, matrix = hit
+    code = GCode(group, linalg.RowBasis(matrix, matrix.argmax(axis=1), field))
+    if code.min_distance() != _GOLAY_DIST:
+        raise VerificationError("winning trial failed its codeword scan")
     gen = AlgElem(group, field, (mask >> shifts) & 1)
     if gc.ideal_from_generators(group, field, [gen]) != code:
         raise VerificationError("winning trial failed re-verification")

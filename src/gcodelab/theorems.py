@@ -299,6 +299,14 @@ def solv_check(code: GCode) -> dict:
 # keep their meaning: they eliminate the sampled generators themselves, with
 # no orbit pass over all p^n indices.
 #
+# Orbit minima by digit-block lookup.  The index of c*f*g is linear in the
+# digits of the index of f, so it is a sum over blocks of s digits (s the
+# largest with p^s <= _TABLE_SIZE) of a term that depends on that block's
+# value alone.  _orbit_tables holds, per block, that term for every block
+# value and every (translate, c) pair; the orbit pass splits each chunk of
+# indices into block values once, gathers and adds one table row per block
+# and takes the minimum over the pairs.  No digit matrix is formed.
+#
 # Rank by representative.  dim fF[G] is constant on an orbit, so the
 # uncertainty sweep, which must still visit every f for its weight and greedy
 # escape lengths, reads the rank of f from its orbit minimum.  Every
@@ -314,6 +322,7 @@ def solv_check(code: GCode) -> dict:
 # by the bound, equality and Schur sections.
 
 _SWEEP_CHUNK = 1 << 10
+_TABLE_SIZE = 1 << 10  # rows of a digit-block lookup table, at most (unless p > it)
 _SHUFFLE_SEED = 0  # the second greedy order is this seed's permutation
 _CROSSCHECK_STRIDE = 997  # every f with index divisible by it is re-derived
 
@@ -390,26 +399,45 @@ def _eliminate(
     return ranks, ideals
 
 
+def _orbit_tables(group: Group, field: PrimeField) -> list[tuple[int, int, np.ndarray]]:
+    """Digit-block lookup tables of the orbit pass, one per block of s digits
+    (the last block may be shorter), as (p^first digit, p^width, table).
+    (f*g)[x*g] = f[x], so table[v, (c - 1) * n + j] is the index of c*f*g_j
+    restricted to the block: the sum over its digits x of
+    (c * digit_x(v) mod p) * p^(x*g_j)."""
+    n, p = group.order, field.p
+    s = 1
+    while p ** (s + 1) <= _TABLE_SIZE:
+        s += 1
+    tables = []
+    for first in range(0, n, s):
+        width = min(s, n - first)
+        digits = _generator_digits(np.arange(p**width, dtype=np.int64), width, p)
+        weights = p ** group.table[first : first + width].astype(np.int64)
+        table = np.hstack([((c * digits) % p) @ weights for c in range(1, p)])
+        tables.append((p**first, p**width, table))
+    return tables
+
+
+def _orbit_minima(group: Group, field: PrimeField) -> np.ndarray:
+    """rep_of[i] is the smallest index of the orbit of generator index i
+    under f -> c*f*g (rep_of[0] = 0); see the comment block above."""
+    tables = _orbit_tables(group, field)
+    rep_of = np.zeros(field.p**group.order, dtype=np.int64)
+    for lo, hi in _chunk_ranges(len(rep_of)):
+        idx = np.arange(lo, hi, dtype=np.int64)
+        moved = sum(table[(idx // step) % size] for step, size, table in tables)
+        # the identity translate at c = 1 keeps idx itself among the candidates
+        rep_of[lo:hi] = moved.min(axis=1)
+    return rep_of
+
+
 def sweep_orbits(group: Group, field: PrimeField) -> SweepOrbits:
     """Map every generator index to its orbit minimum under f -> c*f*g and
     eliminate the minima; see the comment block above."""
-    n, p = group.order, field.p
-    total = p**n
-    translate = _translate_index(group)
-    place = p ** np.arange(n, dtype=np.int64)
-    rep_of = np.zeros(total, dtype=np.int64)
-    reps = []
-    for lo, hi in _chunk_ranges(total):
-        idx = np.arange(lo, hi, dtype=np.int64)
-        best = idx.copy()
-        digits = _generator_digits(idx, n, p)
-        for row in translate:
-            moved = digits[:, row]
-            for c in range(1, p):
-                np.minimum(best, ((c * moved) % p) @ place, out=best)
-        rep_of[lo:hi] = best
-        reps.append(idx[best == idx])
-    reps = np.concatenate(reps)
+    rep_of = _orbit_minima(group, field)
+    total = len(rep_of)
+    reps = np.flatnonzero(rep_of == np.arange(total, dtype=np.int64))[1:]
     ranks, ideals = _eliminate(reps, group, field)
     rank_of = rep_of  # overwritten in place, chunk by chunk, to bound memory
     for lo, hi in _chunk_ranges(total):

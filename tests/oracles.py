@@ -193,3 +193,41 @@ def symmetric_table_loop(k):
     perms = list(permutations(range(k)))
     index = {perm: i for i, perm in enumerate(perms)}
     return [[index[tuple(a[b[x]] for x in range(k))] for b in perms] for a in perms]
+
+
+def orbit_minima_matmul(table, inverse, p):
+    """Smallest index in the orbit of every generator index under
+    f -> c*f*g, by the digit-gather and matmul loop the orbit pass used to
+    run: digits[:, row] are the coefficients of f*g, and (c * moved % p) @
+    place is the index of c*f*g."""
+    table, inverse = np.asarray(table), np.asarray(inverse)
+    n = len(table)
+    translate = table[:, inverse].T
+    place = p ** np.arange(n, dtype=np.int64)
+    idx = np.arange(p**n, dtype=np.int64)
+    digits = (idx[:, None] // place) % p
+    best = idx.copy()
+    for row in translate:
+        moved = digits[:, row]
+        for c in range(1, p):
+            np.minimum(best, ((c * moved) % p) @ place, out=best)
+    return best
+
+
+def orbit_minima_scan(table, p):
+    """Smallest index in the orbit of every generator index under
+    f -> c*f*g, forming each c*f*g through the Cayley table:
+    (f*g)[x*g] = f[x]."""
+    n = len(table)
+    out = []
+    for i in range(p**n):
+        f = [(i // p**x) % p for x in range(n)]
+        best = i
+        for g in range(n):
+            moved = [0] * n
+            for x in range(n):
+                moved[table[x][g]] = f[x]
+            for c in range(1, p):
+                best = min(best, sum((c * m % p) * p**x for x, m in enumerate(moved)))
+        out.append(best)
+    return out

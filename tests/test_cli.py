@@ -1,5 +1,8 @@
+import hashlib
 import json
 import time
+
+import pytest
 
 from gcodelab import cli
 
@@ -310,3 +313,23 @@ def test_sampled_sweeps_past_int64(capsys):
     # the draw and stops at the enumeration guard
     assert cli.run(["search", "sweep"] + argv) == 2
     assert capsys.readouterr().err.startswith("infeasible: 3^")
+
+
+# sha256 and line count of `search sweep --json` stdout, recorded before the
+# orbit pass read its indices from digit-block tables: C20/F2 is the 2^20
+# feasibility cap, and at n = 1 the index is a single digit block
+SEARCH_SWEEP_GOLDEN = {
+    ("cyclic:20", "2"): ("05ea923da9912777063a700c68cbb587fbffc8d6ee3e3852f2885de08efb48f4", 24),
+    ("cyclic:12", "3"): ("3f1920e6aae6f87e3d9524297a50103ad6730b665703332cf9b0b641b1221506", 63),
+    ("cyclic:8", "5"): ("3c33892a2511e0d2e5e0db60903cd0720d86c80973d7dbd981c1f3575bb694b6", 63),
+    ("cyclic:1", "2"): ("a2f32396b0de07f1eff91bbd6670b44b6b84a1dbf8f8a7509caaa49a65ac843d", 1),
+    ("cyclic:1", "3"): ("a2f32396b0de07f1eff91bbd6670b44b6b84a1dbf8f8a7509caaa49a65ac843d", 1),
+}
+
+
+@pytest.mark.parametrize("spec, p", list(SEARCH_SWEEP_GOLDEN))
+def test_search_sweep_golden_at_the_caps(capsys, spec, p):
+    assert cli.run(["search", "sweep", "--group", spec, "--p", p, "--json"]) == 0
+    out = capsys.readouterr().out
+    digest, lines = SEARCH_SWEEP_GOLDEN[(spec, p)]
+    assert (hashlib.sha256(out.encode()).hexdigest(), len(out.splitlines())) == (digest, lines)

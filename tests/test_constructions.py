@@ -163,6 +163,31 @@ def test_golay_winner_must_equal_its_rebuilt_ideal(monkeypatch):
         constructions.golay_search(1_000_000, seed=5)
 
 
+def test_golay_builds_only_the_winner_as_a_code(monkeypatch):
+    # losing candidates are scanned from their rows; is_ideal runs for the
+    # winner, its rebuilt ideal and its dual, however many candidates lost
+    calls = []
+    is_ideal = gc.is_ideal
+
+    def counted(*args):
+        calls.append(args)
+        return is_ideal(*args)
+
+    monkeypatch.setattr(gc, "is_ideal", counted)
+    counts = []
+    for seed in (5, 0):  # hits at trials 2 and 1276
+        calls.clear()
+        assert constructions.golay_search(1_000_000, seed) is not None
+        counts.append(len(calls))
+    assert counts == [3, 3]
+
+
+def test_golay_winner_must_pass_its_own_scan(monkeypatch):
+    monkeypatch.setattr(gc.GCode, "_min_scan", lambda self: (6, 1))
+    with pytest.raises(VerificationError, match="winning trial failed its codeword scan"):
+        constructions.golay_search(1_000_000, seed=5)
+
+
 def test_philox_draws_do_not_depend_on_chunking():
     sizes = [1, 3, 512, 1024, 2048, 31_200]
     single = np.random.Generator(np.random.Philox(key=7)).integers(

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import oracles
 import pytest
 
 from gcodelab import constructions, gcode as gc, groups, linalg, schur, theorems
@@ -262,6 +263,61 @@ def test_orbit_pruned_enumeration_matches_unpruned_reference(spec, p):
     group, field = from_spec(spec), PrimeField(p)
     pruned = theorems.enumerate_cyclic_ideals(group, field)
     assert [(i, c.basis.key()) for i, c in pruned] == _unpruned_ideals(group, field)
+
+
+_ORBIT_CASES = (
+    [(f"cyclic:{n}", 2) for n in range(1, 17)]
+    + [(f"cyclic:{n}", 3) for n in range(1, 10)]
+    + [(f"cyclic:{n}", 5) for n in range(1, 7)]
+    + [(f"cyclic:{n}", 7) for n in range(1, 6)]
+    + [(spec, 2) for spec in ("dihedral:4", "quaternion8", "symmetric:3", "cyclic:4xcyclic:2")]
+    + [("symmetric:3", 3), ("cyclic:3xcyclic:3", 3)]
+)
+
+
+@pytest.mark.parametrize("spec, p", _ORBIT_CASES)
+def test_orbit_minima_match_the_oracles(spec, p):
+    group = from_spec(spec)
+    got = theorems._orbit_minima(group, PrimeField(p))
+    assert got.tolist() == oracles.orbit_minima_matmul(group.table, group.inverse, p).tolist()
+    if p**group.order <= 1 << 12:
+        assert got.tolist() == oracles.orbit_minima_scan(group.table.tolist(), p)
+
+
+@pytest.mark.parametrize(
+    "n, p, blocks",
+    [(1, 2, [(1, 2)]), (1, 3, [(1, 3)]), (10, 2, [(1, 1024)]),
+     (20, 2, [(1, 1024), (1024, 1024)]), (12, 3, [(1, 729), (729, 729)]),
+     (8, 5, [(1, 625), (625, 625)]), (5, 7, [(1, 343), (343, 49)])],
+)
+def test_orbit_tables_split_the_digits_into_blocks(n, p, blocks):
+    # blocks of the largest digit count s with p^s <= _TABLE_SIZE, as
+    # (p^first digit, p^width); one column per (c, translate) pair
+    tables = theorems._orbit_tables(make_cyclic(n), PrimeField(p))
+    assert [(step, size) for step, size, _ in tables] == blocks
+    for _, size, table in tables:
+        assert table.shape == (size, n * (p - 1))
+
+
+@pytest.mark.parametrize("spec, p", [("symmetric:3", 3), ("cyclic:7", 3), ("dihedral:6", 2)])
+def test_orbit_table_columns_are_the_indices_of_c_f_g(spec, p):
+    # the orbit minimum is the same for any relabelling of the translates,
+    # so the columns are checked one by one: column (c - 1) * n + j of the
+    # summed block terms is the index of c * f * g_j
+    group, field = from_spec(spec), PrimeField(p)
+    n = group.order
+    idx = np.random.default_rng(0).integers(0, p**n, size=200)
+    tables = theorems._orbit_tables(group, field)
+    got = sum(table[(idx // step) % size] for step, size, table in tables)
+    place = p ** np.arange(n)
+    for i, row in zip(idx.tolist(), got):
+        f = AlgElem(group, field, (i // place) % p)
+        want = [
+            int(f.right_translate(g).scale(c).coeffs @ place)
+            for c in range(1, p)
+            for g in range(n)
+        ]
+        assert row.tolist() == want
 
 
 def test_sweep_orbits_ranks_match_matrix_rank():
