@@ -10,10 +10,12 @@ row as pivot, full elimination above and below.  This keeps every basis in
 the package byte-stable across runs and thread counts.
 
 `rref_stack` runs the same reduction on a whole (B, r, c) stack of matrices
-at once; the exhaustive sweeps eliminate through it for every p.  For p = 2
-there is also a bit-packed path (one Python int per row, bit c = column c)
-used by the seeded ideal search, which unpacks the reduced rows with numpy
-shifts.  Both are cross-checked against the generic path in the test suite.
+at once; the sweeps eliminate through it for every p.  Over F_2 there are
+two bit-packed layers.  `rref_stack` packs each row into ceil(c/64) uint64
+words and clears a column with one XOR per row.  The seeded ideal search
+keeps one Python int per row (bit c = column c) in `f2_rank`/`f2_rref` and
+unpacks the reduced rows with numpy shifts.  Both are cross-checked against
+the generic path in the test suite.
 """
 
 from __future__ import annotations
@@ -197,15 +199,19 @@ def rref_stack(stack, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
     goes; every other entry changes by at most (p-1)^2 per column, so the
     entries stay within (p-1) + c*(p-1)^2 and the work dtype is the smallest
     one that holds that bound.  One reduction at the end makes all canonical.
+    Over F_2 the rows are packed into uint64 words instead (`_f2_rref_stack`),
+    and the pass XORs the pivot row into the rows it clears.
     """
     p = field.p
-    m = np.asarray(stack, dtype=np.int64) % p
+    m = np.asarray(stack, dtype=np.int64)
     if m.ndim != 3:
         raise ValueError(f"expected a (B, r, c) stack, got ndim={m.ndim}")
+    if p == 2:
+        return _f2_rref_stack(m)
     nmat, nrows, ncols = m.shape
     bound = (p - 1) + ncols * (p - 1) ** 2
     dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-    m = m.astype(dtype)
+    m = (m % p).astype(dtype)
     ranks = np.zeros(nmat, dtype=np.int64)
     below = np.arange(nrows)
     every = np.arange(nmat)
@@ -229,6 +235,44 @@ def rref_stack(stack, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
         ranks += has
     m %= p
     return m.astype(np.int64), ranks
+
+
+def _f2_rref_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`rref_stack` over F_2 on rows packed into uint64 words: bit c % 64 of
+    word c // 64 is column c.  Same pivot rule; the pivot row is XORed into
+    every other row with its bit set.  m holds any int64 entries."""
+    nmat, nrows, ncols = m.shape
+    nbytes, nwords = -(-ncols // 8), -(-ncols // 64)
+    bits = np.zeros((nmat, nrows, 8 * nbytes), dtype=np.uint8)
+    bits[:, :, :ncols] = m  # the low byte keeps the residue mod 2, negatives too
+    bits &= 1
+    buf = np.zeros((nmat, nrows, 8 * nwords), dtype=np.uint8)
+    buf[:, :, :nbytes] = np.packbits(bits, bitorder="little").reshape(nmat, nrows, nbytes)
+    words = buf.view("<u8")
+    ranks = np.zeros(nmat, dtype=np.int64)
+    below = np.arange(nrows)
+    every = np.arange(nmat)
+    for c in range(ncols):
+        w = c >> 6
+        col = (words[:, :, w] & np.uint64(1 << (c & 63))) != 0
+        cand = col & (below >= ranks[:, None])
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        # matrices without a pivot here swap row r with itself and XOR nothing
+        r = np.minimum(ranks, nrows - 1)
+        i = np.where(has, cand.argmax(axis=1), r)
+        col[every, i] = False
+        col &= has[:, None]
+        for k in range(w, nwords):
+            word = words[:, :, k]
+            pivot = word[every, i]
+            word ^= np.where(col, pivot[:, None], np.uint64(0))
+            word[every, i] = word[every, r]
+            word[every, r] = pivot
+        ranks += has
+    bits = np.unpackbits(buf, axis=2, count=ncols, bitorder="little")
+    return bits.astype(np.int64), ranks
 
 
 def kernel(a, field: PrimeField, width: int | None = None) -> RowBasis:

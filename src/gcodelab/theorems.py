@@ -309,7 +309,9 @@ def solv_check(code: GCode) -> dict:
 #
 # Rank by representative.  dim fF[G] is constant on an orbit, so the
 # uncertainty sweep, which must still visit every f for its weight and greedy
-# escape lengths, reads the rank of f from its orbit minimum.  Every
+# escape lengths, reads the rank of f from its orbit minimum: the ranks of
+# the minima go into a dense table over all p^n indices (one byte each while
+# |G| < 256), and rank_of[i] = table[rep_of[i]] is one gather.  Every
 # _CROSSCHECK_STRIDE-th f is re-derived through uncertainty_check (rank of
 # f's own multiplication matrix), which audits that lookup as well.
 #
@@ -439,9 +441,11 @@ def sweep_orbits(group: Group, field: PrimeField) -> SweepOrbits:
     total = len(rep_of)
     reps = np.flatnonzero(rep_of == np.arange(total, dtype=np.int64))[1:]
     ranks, ideals = _eliminate(reps, group, field)
+    rank_at = np.zeros(total, dtype=np.min_scalar_type(group.order))
+    rank_at[reps] = ranks
     rank_of = rep_of  # overwritten in place, chunk by chunk, to bound memory
     for lo, hi in _chunk_ranges(total):
-        rank_of[lo:hi] = ranks[np.searchsorted(reps, rep_of[lo:hi])]
+        rank_of[lo:hi] = rank_at[rep_of[lo:hi]]
     return SweepOrbits(rank_of, ideals)
 
 

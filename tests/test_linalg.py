@@ -224,32 +224,48 @@ def _stack_matrix(kind: str, p: int, rows: int, cols: int, seed: int) -> np.ndar
         return m[rng.permutation(rows)]
     if kind == "deficient" and rows >= 2:
         m[-1] = (m[0] * rng.integers(0, p) + m[-2]) % p
+    if kind == "late":
+        # pivots only in the last rows + 2 columns: across the 64- and
+        # 128-bit word boundaries of the packed F_2 path at widths 65 and 130
+        m[:, : max(0, cols - rows - 2)] = 0
     return m
 
 
-stack_cases = st.tuples(
-    st.sampled_from([2, 3, 5, 7]),
-    st.integers(min_value=0, max_value=6),
-    st.integers(min_value=0, max_value=7),
-    st.lists(
-        st.tuples(
-            st.sampled_from(["zero", "full", "deficient", "random"]),
-            st.integers(min_value=0, max_value=2**32 - 1),
-        ),
-        min_size=1,
-        max_size=6,
+stack_kinds = st.lists(
+    st.tuples(
+        st.sampled_from(["zero", "full", "deficient", "random", "late"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    ),
+    min_size=0,
+    max_size=6,
+)
+stack_cases = st.one_of(
+    st.tuples(
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=7),
+        stack_kinds,
+    ),
+    # over F_2 the stack is reduced on uint64 words: widths at the boundaries
+    st.tuples(
+        st.just(2),
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from([63, 64, 65, 128, 130]),
+        stack_kinds,
     ),
 )
 
 
-@settings(max_examples=120, deadline=None)
-@given(stack_cases)
-def test_rref_stack_matches_rref_and_oracle(case):
+@settings(max_examples=160, deadline=None)
+@given(stack_cases, st.integers(min_value=0, max_value=2**32 - 1))
+def test_rref_stack_matches_rref_and_oracle(case, lift_seed):
     p, rows, cols, kinds = case
     field = PrimeField(p)
     matrices = [_stack_matrix(kind, p, rows, cols, seed) for kind, seed in kinds]
     stack = np.array(matrices, dtype=np.int64).reshape(len(kinds), rows, cols)
-    reduced, ranks = linalg.rref_stack(stack, field)
+    # unreduced and negative representatives of the same residues
+    lift = np.random.default_rng(lift_seed).integers(-2, 3, size=stack.shape)
+    reduced, ranks = linalg.rref_stack(stack + p * lift, field)
     assert reduced.shape == stack.shape and ranks.shape == (len(kinds),)
     for b, (kind, _) in enumerate(kinds):
         ref = linalg.rref(stack[b], field, width=cols)

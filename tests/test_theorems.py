@@ -321,12 +321,30 @@ def test_orbit_table_columns_are_the_indices_of_c_f_g(spec, p):
 
 
 def test_sweep_orbits_ranks_match_matrix_rank():
-    group = make_symmetric(3)
-    orbits = theorems.sweep_orbits(group, F2)
-    assert orbits.rank_of[0] == 0
-    for fidx in range(1, 2**6):
-        f = AlgElem(group, F2, [(fidx >> i) & 1 for i in range(6)])
-        assert orbits.rank_of[fidx] == linalg.rank(f.multiplication_matrix(), F2)
+    # off F_2 too: the dense rank table is filled from the F_p elimination
+    for group, field in ((S3, F2), (make_cyclic(10), F2), (make_cyclic(6), F3), (S3, F3)):
+        n, p = group.order, field.p
+        orbits = theorems.sweep_orbits(group, field)
+        assert orbits.rank_of[0] == 0 and len(orbits.rank_of) == p**n
+        for fidx in range(1, p**n):
+            f = AlgElem(group, field, [(fidx // p**i) % p for i in range(n)])
+            rank = linalg.rank(f.multiplication_matrix(), field)
+            assert orbits.rank_of[fidx] == rank, (group.name, p, fidx)
+
+
+def test_sampled_enumeration_on_two_word_rows_matches_per_generator_rref():
+    # order 70: each translate row spans two uint64 words in rref_stack
+    group = make_cyclic(70)
+    found = theorems.enumerate_cyclic_ideals(group, F2, sample=20, sample_seed=3)
+    expected: dict[bytes, tuple[int, linalg.RowBasis]] = {}
+    for fidx in theorems._sample_indices(70, 2, 20, 3).tolist():
+        f = AlgElem(group, F2, [(fidx >> i) & 1 for i in range(70)])
+        basis = linalg.rref(f.multiplication_matrix().T, F2)
+        expected.setdefault(basis.key(), (fidx, basis))
+    assert [(tag, code.basis.key()) for tag, code in found] == [
+        (tag, key) for key, (tag, _) in expected.items()
+    ]
+    assert all(code.basis == expected[code.basis.key()][1] for _, code in found)
 
 
 def test_uncertainty_audit_catches_a_wrong_rank_lookup(monkeypatch):
