@@ -231,3 +231,48 @@ def orbit_minima_scan(table, p):
                 best = min(best, sum((c * m % p) * p**x for x, m in enumerate(moved)))
         out.append(best)
     return out
+
+
+def self_orthogonal_translates(group, mask):
+    """Whether the right ideal of F_2[group] generated by the element whose
+    coefficient bits are `mask` is self-orthogonal, from its translate
+    matrix: row g is the AlgElem product f * g, and R·Rᵀ must vanish mod 2."""
+    from gcodelab.ffield import PrimeField
+    from gcodelab.galg import AlgElem
+
+    f2 = PrimeField(2)
+    f = AlgElem(group, f2, [(mask >> m) & 1 for m in range(group.order)])
+    rows = np.array(
+        [(f * AlgElem.basis_elem(group, f2, g)).coeffs for g in range(group.order)]
+    )
+    return not ((rows @ rows.T) % 2).any()
+
+
+def golay_scan_unfiltered(budget, seed, chunk=1 << 12):
+    """(trial, mask) of the first trial whose ideal of F_2[S4] has dimension
+    12 and minimum distance 8, or None: the scan loop `golay_search` ran
+    before it dropped the trials whose ideal is not self-orthogonal, kept as
+    its reference.  Every nonzero trial is ranked, and each of rank 12 is
+    reduced and scanned.  The masks are those of `golay_search`, one Philox
+    stream keyed by the seed, here drawn in fixed chunks."""
+    from gcodelab import gcode as gc, linalg
+    from gcodelab.groups import make_symmetric
+
+    group = make_symmetric(4)
+    shifts = np.arange(group.order)
+    weights = np.int64(1) << group.table.astype(np.int64)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for start in range(0, budget, chunk):
+        size = min(chunk, budget - start)
+        masks = rng.integers(0, 1 << group.order, size=size, dtype=np.int64)
+        col_masks = ((masks[:, None] >> shifts) & 1) @ weights
+        for t in range(size):
+            if masks[t] == 0:
+                continue
+            rows = col_masks[t].tolist()
+            if linalg.f2_rank(rows, limit=12) != 12:
+                continue
+            key = np.array(linalg.f2_rref(rows), dtype=np.int64)
+            if gc._split_scan((key[:, None] >> shifts) & 1, 2)[0] == 8:
+                return start + t, int(masks[t])
+    return None

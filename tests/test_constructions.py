@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from gcodelab import cli, constructions, gcode as gc, groups, linalg, schur
@@ -186,6 +187,51 @@ def test_golay_winner_must_pass_its_own_scan(monkeypatch):
     monkeypatch.setattr(gc.GCode, "_min_scan", lambda self: (6, 1))
     with pytest.raises(VerificationError, match="winning trial failed its codeword scan"):
         constructions.golay_search(1_000_000, seed=5)
+
+
+WINNER_2024_MASK = 0xCF3E9E  # `search golay --seed 2024` hits at trial 65
+_MASK = st.integers(0, (1 << 24) - 1)
+# random masks rarely give a self-orthogonal ideal (2.4 % do); sums of a
+# few group elements often do
+_SPARSE_MASK = st.sets(st.integers(0, 23), max_size=6).map(lambda s: sum(1 << m for m in s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_MASK, _SPARSE_MASK), max_size=12))
+def test_golay_parity_filter_matches_translate_gram(drawn):
+    masks = np.array([0, (1 << 24) - 1, WINNER_2024_MASK, *drawn], dtype=np.int64)
+    group = constructions._s4()[0]
+    _, odd = constructions._translates(masks)
+    want = [oracles.self_orthogonal_translates(group, m) for m in masks.tolist()]
+    assert (~odd).tolist() == want
+
+
+def _found(result):
+    if result is None:
+        return None
+    return result.trial, int(result.generator.coeffs @ (1 << np.arange(24)))
+
+
+@pytest.mark.parametrize("budget, seeds", [(1_000_000, range(100)), (300, range(50))])
+def test_golay_filter_keeps_the_unfiltered_winner(budget, seeds):
+    got = [_found(constructions.golay_search(budget, seed)) for seed in seeds]
+    want = [oracles.golay_scan_unfiltered(budget, seed) for seed in seeds]
+    assert got == want
+    assert want.count(None) == (21 if budget == 300 else 0)
+
+
+def test_golay_ranks_only_self_orthogonal_trials(monkeypatch):
+    # seed 0 hits at trial 1276; unfiltered, nearly every trial is ranked
+    calls = []
+    f2_rank = linalg.f2_rank
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return f2_rank(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "f2_rank", counted)
+    assert constructions.golay_search(1_000_000, seed=0).trial == 1276
+    assert 0 < len(calls) < 128
 
 
 def test_philox_draws_do_not_depend_on_chunking():
