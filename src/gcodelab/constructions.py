@@ -20,7 +20,7 @@ from . import gcode as gc
 from . import linalg, schur
 from .errors import VerificationError
 from .ffield import PrimeField
-from .galg import AlgElem
+from .galg import AlgElem, translate_weights
 from .gcode import GCode
 from .groups import Group, make_elementary_abelian, make_symmetric
 
@@ -104,16 +104,13 @@ _SEARCH_CHUNK = 1 << 15
 
 
 @functools.cache
-def _s4() -> tuple[Group, np.ndarray, np.ndarray]:
-    """S4, its element indices and the translate weights 2^(m·g_j), built on
-    the first search (not at import) and shared, read-only, by every later
-    one."""
+def _s4() -> tuple[Group, np.ndarray]:
+    """S4 and its element indices, built on the first search (not at import)
+    and shared, read-only, by every later one."""
     group = make_symmetric(4)
     shifts = np.arange(group.order)
-    weights = np.int64(1) << group.table.astype(np.int64)
     shifts.setflags(write=False)
-    weights.setflags(write=False)
-    return group, shifts, weights
+    return group, shifts
 
 
 def _translates(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,9 +119,9 @@ def _translates(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     whether some ⟨f, f·g_j⟩ is 1.  As ⟨f·g_i, f·g_j⟩ = ⟨f, f·g_j·g_i⁻¹⟩, the
     ideal f·F_2[S4] is self-orthogonal (f̂·f = 0) exactly when odd[t] is
     False."""
-    _, shifts, weights = _s4()
+    group, shifts = _s4()
     bits = (masks[:, None] >> shifts) & 1
-    col_masks = bits @ weights
+    col_masks = bits @ translate_weights(group)[0]  # 24 bits: one word
     # popcount(f & f·g_j) mod 2, in bits' buffer: no third (chunk, 24) array
     np.bitwise_and(col_masks, masks[:, None], out=bits)
     np.bitwise_count(bits, out=bits)
@@ -147,14 +144,15 @@ def golay_search(budget: int, seed: int) -> GolaySearchResult | None:
     equivalence (Pless 1968), hence self-dual, so no dropped trial could
     win and the winner is the same as without the test.
     A candidate of dimension 12 has its distance scanned from its rows; only
-    the winner becomes a GCode (validated as an ideal, scanned again and
-    kept).  It is rebuilt from its generator by the generic F_p elimination
-    and must equal the candidate the search scanned.
+    the winner becomes a GCode, built once from its generator by the generic
+    F_p elimination.  Its basis must equal the candidate the search scanned,
+    its own scan (kept for params) must give d = 8, and it must be
+    self-dual: 2·dim = |G| and C ⊆ C^⊥ give C = C^⊥.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     field = PrimeField(2)
-    group, shifts, _ = _s4()
+    group, shifts = _s4()
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     def scan(start: int, masks: np.ndarray) -> tuple[int, int, np.ndarray] | None:
@@ -183,12 +181,12 @@ def golay_search(budget: int, seed: int) -> GolaySearchResult | None:
     if hit is None:
         return None
     trial, mask, matrix = hit
-    code = GCode(group, linalg.RowBasis(matrix, matrix.argmax(axis=1), field))
+    gen = AlgElem(group, field, (mask >> shifts) & 1)
+    code = gc.ideal_from_generators(group, field, [gen])
+    if not np.array_equal(code.basis.matrix, matrix):
+        raise VerificationError("winning trial failed re-verification")
     if code.min_distance() != _GOLAY_DIST:
         raise VerificationError("winning trial failed its codeword scan")
-    gen = AlgElem(group, field, (mask >> shifts) & 1)
-    if gc.ideal_from_generators(group, field, [gen]) != code:
-        raise VerificationError("winning trial failed re-verification")
-    if code.dual() != code:
+    if 2 * code.dim != group.order or not code.is_self_orthogonal():
         raise VerificationError("winning trial is not self-dual")
     return GolaySearchResult(code, trial, gen)

@@ -158,3 +158,15 @@ class AlgElem:
             else:
                 terms.append(f"{c}{label}")
         return "+".join(terms) if terms else "0"
+
+
+def translate_weights(group: Group) -> np.ndarray:
+    """Bit-packing weights of right translates, one int64 word per 64
+    columns: weights[w, s, j] is 2^(table[s, j] - 64w) when table[s, j]
+    lies in columns 64w..64w+63, else 0.  For 0/1 support rows `bits`,
+    (bits @ weights[w])[:, j] is word w of the support mask of f·g_j.  Bit 63
+    wraps to the sign bit; the sum stays exact because the translates of one
+    support never collide, so it is the OR of the bits."""
+    table = group.table.astype(np.int64)
+    words = np.arange(-(-group.order // 64))[:, None, None]
+    return np.where(table >> 6 == words, np.int64(1) << (table & 63), np.int64(0))

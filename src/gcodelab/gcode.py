@@ -164,7 +164,7 @@ def _split_scan(rows: np.ndarray, p: int) -> tuple[int, int]:
     best only on a strictly smaller weight: the first minimum is kept."""
     k, n = rows.shape
     if p == 2:
-        rows = _pack_words(rows)
+        rows = linalg.pack_f2(rows)
     else:
         rows = rows.astype(np.min_scalar_type(2 * (p - 1)))
     split = k - k // 2
@@ -183,14 +183,6 @@ def _split_scan(rows: np.ndarray, p: int) -> tuple[int, int]:
         if weights.flat[j] < best[0]:
             best = (int(weights.flat[j]), start * len(bottom) + j)
     return best
-
-
-def _pack_words(rows: np.ndarray) -> np.ndarray:
-    """0/1 rows as little-endian bit fields in ceil(n/64) uint64 words each."""
-    n = rows.shape[1]
-    padded = np.zeros((rows.shape[0], -(-n // 64) * 64), dtype=np.uint8)
-    padded[:, :n] = rows
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
 def _span(rows: np.ndarray, p: int) -> np.ndarray:

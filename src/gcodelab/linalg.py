@@ -11,11 +11,12 @@ the package byte-stable across runs and thread counts.
 
 `rref_stack` runs the same reduction on a whole (B, r, c) stack of matrices
 at once; the sweeps eliminate through it for every p.  Over F_2 there are
-two bit-packed layers.  `rref_stack` packs each row into ceil(c/64) uint64
-words and clears a column with one XOR per row.  The seeded ideal search
-keeps one Python int per row (bit c = column c) in `f2_rank`/`f2_rref` and
-unpacks the reduced rows with numpy shifts.  Both are cross-checked against
-the generic path in the test suite.
+two bit-packed layers.  One packer, `pack_f2`, writes each row as
+ceil(c/64) little-endian uint64 words; `rref_stack` clears a column on them
+with one XOR per row, and the minimum-distance scan XORs and counts them.
+The seeded ideal search keeps one Python int per row (bit c = column c) in
+`f2_rank`/`f2_rref` and unpacks the reduced rows with numpy shifts.  Both
+are cross-checked against the generic path in the test suite.
 """
 
 from __future__ import annotations
@@ -237,18 +238,28 @@ def rref_stack(stack, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
     return m.astype(np.int64), ranks
 
 
-def _f2_rref_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`rref_stack` over F_2 on rows packed into uint64 words: bit c % 64 of
-    word c // 64 is column c.  Same pivot rule; the pivot row is XORed into
-    every other row with its bit set.  m holds any int64 entries."""
-    nmat, nrows, ncols = m.shape
+def pack_f2(m: np.ndarray) -> np.ndarray:
+    """Rows of integers, read mod 2 by their low bit (negative and unreduced
+    entries too), as little-endian uint64 words along the last axis: bit
+    c % 64 of word c // 64 is column c.  The 0/1 bytes are padded to a
+    multiple of 8 columns only, not of 64, to keep the peak memory low."""
+    *lead, ncols = m.shape
     nbytes, nwords = -(-ncols // 8), -(-ncols // 64)
-    bits = np.zeros((nmat, nrows, 8 * nbytes), dtype=np.uint8)
-    bits[:, :, :ncols] = m  # the low byte keeps the residue mod 2, negatives too
+    bits = np.zeros((*lead, 8 * nbytes), dtype=np.uint8)
+    bits[..., :ncols] = m  # the low byte keeps the residue mod 2, negatives too
     bits &= 1
-    buf = np.zeros((nmat, nrows, 8 * nwords), dtype=np.uint8)
-    buf[:, :, :nbytes] = np.packbits(bits, bitorder="little").reshape(nmat, nrows, nbytes)
-    words = buf.view("<u8")
+    buf = np.zeros((*lead, 8 * nwords), dtype=np.uint8)
+    buf[..., :nbytes] = np.packbits(bits, bitorder="little").reshape(*lead, nbytes)
+    return buf.view("<u8")
+
+
+def _f2_rref_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`rref_stack` over F_2 on rows packed by `pack_f2`.  Same pivot rule;
+    the pivot row is XORed into every other row with its bit set.  m holds
+    any int64 entries."""
+    nmat, nrows, ncols = m.shape
+    words = pack_f2(m)
+    nwords = words.shape[2]
     ranks = np.zeros(nmat, dtype=np.int64)
     below = np.arange(nrows)
     every = np.arange(nmat)
@@ -271,7 +282,7 @@ def _f2_rref_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             word[every, i] = word[every, r]
             word[every, r] = pivot
         ranks += has
-    bits = np.unpackbits(buf, axis=2, count=ncols, bitorder="little")
+    bits = np.unpackbits(words.view(np.uint8), axis=2, count=ncols, bitorder="little")
     return bits.astype(np.int64), ranks
 
 

@@ -19,7 +19,7 @@ from . import gcode as gc
 from . import linalg, schur
 from .errors import UnsupportedCover, VerificationError
 from .ffield import PrimeField
-from .galg import AlgElem
+from .galg import AlgElem, translate_weights
 from .gcode import GCode
 from .groups import Group, Subgroup, is_p_group, normal_p_complement, p_part
 
@@ -315,13 +315,17 @@ def solv_check(code: GCode) -> dict:
 # _CROSSCHECK_STRIDE-th f is re-derived through uncertainty_check (rank of
 # f's own multiplication matrix), which audits that lookup as well.
 #
-# Greedy escape lengths work on bit-packed translate supports: with
-# W[s, j] = 2^(table[s, j]) the product (support indicators) @ W yields, per
-# f and per j, the support mask of f * g_j.  Distinct supports never collide
-# inside one translate, so OR equals SUM and one integer matmul replaces the
-# inner loops.  verify_all runs the orbit pass once and hands it to the
-# uncertainty sweep and the enumeration; the enumerated ideal list is shared
-# by the bound, equality and Schur sections.
+# Greedy escape lengths work on bit-packed translate supports, one int64 word
+# per 64 columns: with W = galg.translate_weights(group), the product
+# (support indicators) @ W[w] yields, per f and per j, word w of the support
+# mask of f * g_j.  Distinct supports never collide inside one translate, so
+# OR equals SUM and one integer matmul per word replaces the inner loops.
+# Along a greedy order, one cumulative OR gives the union of the translates
+# seen so far; g is kept exactly when the union changes at g in some word, and
+# the translates cover the group when the last union is the full mask.
+# verify_all runs the orbit pass once and hands it to the uncertainty sweep
+# and the enumeration; the enumerated ideal list is shared by the bound,
+# equality and Schur sections.
 
 _SWEEP_CHUNK = 1 << 10
 _TABLE_SIZE = 1 << 10  # rows of a digit-block lookup table, at most (unless p > it)
@@ -339,12 +343,6 @@ class SweepOrbits(NamedTuple):
 
     rank_of: np.ndarray
     ideals: list[tuple[int, np.ndarray]]
-
-
-def _translate_weights(group: Group) -> np.ndarray:
-    if group.order > 62:
-        raise ValueError("bit-packed sweeps support orders up to 62")
-    return np.int64(1) << group.table.astype(np.int64)
 
 
 def _generator_digits(idx: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -450,17 +448,15 @@ def sweep_orbits(group: Group, field: PrimeField) -> SweepOrbits:
 
 
 def _greedy_lengths(
-    masks: np.ndarray, order: np.ndarray, full: int
+    masks: np.ndarray, order: np.ndarray, full: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy escape length of each row of translate masks along `order`,
-    and whether the kept translates cover the group."""
-    covered = np.zeros(len(masks), dtype=np.int64)
-    t = np.zeros(len(masks), dtype=np.int64)
-    for g in order:
-        m = masks[:, g]
-        t += (m & ~covered) != 0
-        covered |= m
-    return t, covered == full
+    """Greedy escape length along `order` of each f, from its translate masks
+    masks[w, f, j] (word w of f * g_j), and whether the kept translates cover
+    the group, whose mask words are `full`."""
+    union = np.bitwise_or.accumulate(masks[:, :, order], axis=2)
+    grew = (union[:, :, 1:] != union[:, :, :-1]).any(axis=0)
+    t = (union[:, :, 0] != 0).any(axis=0) + grew.sum(axis=1)
+    return t, (union[:, :, -1] == full[:, None]).all(axis=0)
 
 
 def verify_uncertainty(
@@ -480,8 +476,8 @@ def verify_uncertainty(
     audits the packed masks and the rank lookup.
     """
     n, p = group.order, field.p
-    W = _translate_weights(group)
-    full = (1 << n) - 1
+    W = translate_weights(group)
+    full = np.bitwise_or.reduce(W, axis=(1, 2))
     natural = np.arange(n)
     shuffled = np.random.default_rng(_SHUFFLE_SEED).permutation(n)
     if sample is None:

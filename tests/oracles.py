@@ -233,6 +233,31 @@ def orbit_minima_scan(table, p):
     return out
 
 
+def translate_support_words(f):
+    """Support masks of the right translates f * g_j of an AlgElem, one list
+    per j of ceil(n/64) signed 64-bit words (bit x % 64 of word x // 64 is
+    set when x is in the support), each translate formed by
+    `right_translate` and its support read as a set."""
+    n = f.group.order
+    out = []
+    for j in range(n):
+        words = [0] * -(-n // 64)
+        for x in f.right_translate(j).support():
+            words[x // 64] |= 1 << (x % 64)
+        out.append([w - (1 << 64) if w >> 63 else w for w in words])
+    return out
+
+
+def f2_words(rows):
+    """Rows of integers as the little-endian 64-bit words of their residues
+    mod 2, built one Python int per row."""
+    out = []
+    for row in rows:
+        value = sum(1 << c for c, x in enumerate(row) if x % 2)
+        out.append([(value >> (64 * w)) & ((1 << 64) - 1) for w in range(-(-len(row) // 64))])
+    return out
+
+
 def self_orthogonal_translates(group, mask):
     """Whether the right ideal of F_2[group] generated by the element whose
     coefficient bits are `mask` is self-orthogonal, from its translate

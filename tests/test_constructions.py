@@ -131,7 +131,9 @@ def test_golay_chunk_growth_keeps_the_trial_and_mask(monkeypatch, seed, trial):
     assert found[0][0] == trial
 
 
-def test_search_golay_scans_and_dualizes_the_winner_once(monkeypatch, capsys):
+def test_search_golay_scans_the_winner_once_and_takes_no_kernel(monkeypatch, capsys):
+    # the winner is built once; its scan serves the CLI's params, and
+    # self-duality is 2·dim = |G| plus self-orthogonality, with no dual code
     scanned, kernels = [], []
     scan, kernel = gc.GCode._min_scan, linalg.kernel
 
@@ -151,8 +153,8 @@ def test_search_golay_scans_and_dualizes_the_winner_once(monkeypatch, capsys):
     assert (out["trial"], out["d"], out["self_dual"]) == (2, 8, True)
     s4 = groups.make_symmetric(4)
     winner = gc.ideal_from_generators(s4, F2, [AlgElem.from_text(s4, F2, out["generator"])])
-    assert sum(code == winner for code in scanned) == 1
-    assert len(kernels) == 1
+    assert scanned == [winner]
+    assert kernels == []
 
 
 def test_golay_winner_must_equal_its_rebuilt_ideal(monkeypatch):
@@ -165,8 +167,8 @@ def test_golay_winner_must_equal_its_rebuilt_ideal(monkeypatch):
 
 
 def test_golay_builds_only_the_winner_as_a_code(monkeypatch):
-    # losing candidates are scanned from their rows; is_ideal runs for the
-    # winner, its rebuilt ideal and its dual, however many candidates lost
+    # losing candidates are scanned from their rows; is_ideal runs once, for
+    # the winner built from its generator, however many candidates lost
     calls = []
     is_ideal = gc.is_ideal
 
@@ -180,12 +182,18 @@ def test_golay_builds_only_the_winner_as_a_code(monkeypatch):
         calls.clear()
         assert constructions.golay_search(1_000_000, seed) is not None
         counts.append(len(calls))
-    assert counts == [3, 3]
+    assert counts == [1, 1]
 
 
 def test_golay_winner_must_pass_its_own_scan(monkeypatch):
     monkeypatch.setattr(gc.GCode, "_min_scan", lambda self: (6, 1))
     with pytest.raises(VerificationError, match="winning trial failed its codeword scan"):
+        constructions.golay_search(1_000_000, seed=5)
+
+
+def test_golay_winner_must_be_self_orthogonal(monkeypatch):
+    monkeypatch.setattr(gc.GCode, "is_self_orthogonal", lambda self: False)
+    with pytest.raises(VerificationError, match="winning trial is not self-dual"):
         constructions.golay_search(1_000_000, seed=5)
 
 

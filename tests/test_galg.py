@@ -6,8 +6,8 @@ import pytest
 import oracles
 from gcodelab import linalg
 from gcodelab.ffield import PrimeField
-from gcodelab.galg import AlgElem
-from gcodelab.groups import make_cyclic, make_elementary_abelian, make_symmetric
+from gcodelab.galg import AlgElem, translate_weights
+from gcodelab.groups import from_spec, make_cyclic, make_elementary_abelian, make_symmetric
 
 F2, F3 = PrimeField(2), PrimeField(3)
 C2 = make_cyclic(2)
@@ -223,3 +223,27 @@ def test_equality_across_groups():
     assert c4 == AlgElem(make_cyclic(4), F2, [1, 1, 0, 0])  # equal tables
     with pytest.raises(ValueError):
         c4 + klein
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cyclic:1", "cyclic:24", "symmetric:4", "cyclic:62", "cyclic:63", "cyclic:64",
+     "cyclic:65", "symmetric:5", "cyclic:128"],
+)
+def test_translate_weights_pack_the_translate_supports(spec):
+    # orders on both sides of every word boundary; the all-ones element sets
+    # bit 63 (the sign bit) of every full word
+    group = from_spec(spec)
+    n = group.order
+    rng = np.random.default_rng(n)
+    coeffs = np.vstack([
+        np.ones((1, n), dtype=np.int64),
+        rng.integers(0, 3, size=(3, n)),
+        rng.random((3, n)) < 0.05,
+    ]).astype(np.int64)
+    weights = translate_weights(group)
+    assert weights.shape == (-(-n // 64), n, n) and weights.dtype == np.int64
+    masks = (coeffs != 0).astype(np.int64) @ weights
+    for i, row in enumerate(coeffs):
+        want = oracles.translate_support_words(AlgElem(group, F3, row))
+        assert masks[:, i, :].T.tolist() == want

@@ -300,3 +300,13 @@ def test_rref_stack_large_moduli_stay_exact(p):
         ref = linalg.rref(stack[b], field)
         assert ranks[b] == ref.dim
         assert np.array_equal(reduced[b, : ref.dim], ref.matrix)
+
+
+@pytest.mark.parametrize("cols", [1, 7, 8, 63, 64, 65, 130])
+def test_pack_f2_reads_the_low_bit_of_any_entry(cols):
+    # negative and unreduced entries pack as their residues mod 2, over any
+    # leading axes
+    m = np.random.default_rng(cols).integers(-5, 6, size=(2, 3, cols))
+    words = linalg.pack_f2(m)
+    assert words.shape == (2, 3, -(-cols // 64)) and words.dtype == np.uint64
+    assert words.reshape(6, -1).tolist() == oracles.f2_words(m.reshape(6, cols).tolist())

@@ -7,7 +7,7 @@ import pytest
 from gcodelab import constructions, gcode as gc, groups, linalg, schur, theorems
 from gcodelab.errors import UnsupportedCover
 from gcodelab.ffield import PrimeField
-from gcodelab.galg import AlgElem
+from gcodelab.galg import AlgElem, translate_weights
 from gcodelab.groups import (
     Subgroup,
     from_spec,
@@ -225,6 +225,40 @@ def test_verify_uncertainty_sampling():
     group = make_cyclic(4)
     rep = theorems.verify_uncertainty(group, F2, sample=17, sample_seed=5)
     assert rep["checked"] == 17 and rep["failures"] == []
+
+
+@pytest.mark.parametrize("spec, p", [("cyclic:64", 2), ("cyclic:65", 2), ("symmetric:5", 3)])
+def test_greedy_lengths_match_the_greedy_walk(spec, p):
+    # the sampled f of a sweep, plus sparse ones whose greedy walks are long
+    # and whose supports straddle the word boundaries
+    group = from_spec(spec)
+    n = group.order
+    digits = theorems._generator_digits(theorems._sample_indices(n, p, 40, 3), n, p)
+    sparse = np.zeros((4, n), dtype=np.int64)
+    sparse[0, 0] = sparse[1, 63] = sparse[2, [1, 64 % n]] = sparse[3, [n - 1, 62, 5]] = 1
+    bits = (np.vstack([digits, sparse]) != 0).astype(np.int64)
+    weights = translate_weights(group)
+    full = np.bitwise_or.reduce(weights, axis=(1, 2))
+    masks = bits @ weights
+    shuffled = np.random.default_rng(theorems._SHUFFLE_SEED).permutation(n)
+    for order in (np.arange(n), shuffled):
+        t, covers = theorems._greedy_lengths(masks, order, full)
+        want = [theorems.greedy_support_rank(group, np.flatnonzero(b), order)[0] for b in bits]
+        assert t.tolist() == want and covers.all()
+    # no support covers nothing; a union that fills word 0 alone covers the
+    # group only when there is no second word
+    lone = np.zeros_like(masks[:, :2])
+    lone[0, 1, 0] = full[0]
+    t, covers = theorems._greedy_lengths(lone, shuffled, full)
+    assert t.tolist() == [0, 1] and covers.tolist() == [False, len(full) == 1]
+
+
+@pytest.mark.parametrize(
+    "spec, p, sample", [("cyclic:64", 2, 200), ("cyclic:128", 2, 50), ("symmetric:5", 3, 50)]
+)
+def test_sampled_uncertainty_past_order_62(spec, p, sample):
+    rep = theorems.verify_uncertainty(from_spec(spec), PrimeField(p), sample=sample)
+    assert rep["checked"] == sample and rep["failures"] == []
 
 
 def test_restricted_rank_is_line_detector():
