@@ -15,8 +15,11 @@ two bit-packed layers.  One packer, `pack_f2`, writes each row as
 ceil(c/64) little-endian uint64 words; `rref_stack` clears a column on them
 with one XOR per row, and the minimum-distance scan XORs and counts them.
 The seeded ideal search keeps one Python int per row (bit c = column c) in
-`f2_rank`/`f2_rref` and unpacks the reduced rows with numpy shifts.  Both
-are cross-checked against the generic path in the test suite.
+`f2_rank`/`f2_rref` and unpacks the reduced rows with numpy shifts.
+`f2_rank` is also the independent F_2 rank of the uncertainty sweep's audit
+(theorems.uncertainty_check), since it shares no code with the packed
+words it audits.  Both layers are cross-checked against the generic path in
+the test suite.
 """
 
 from __future__ import annotations

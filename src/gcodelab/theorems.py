@@ -67,12 +67,22 @@ def greedy_support_rank(
 
 def uncertainty_check(f: AlgElem, order: Sequence[int] | None = None) -> UncertaintyResult:
     """Support size times multiplication rank is at least the group order,
-    and the rank dominates the greedy escape length of the support."""
+    and the rank dominates the greedy escape length of the support.
+
+    The rank is that of f's own multiplication matrix, taken by linalg.rank,
+    or over F_2 by linalg.f2_rank on its rows as Python ints, so that it
+    stays independent of the sweeps' word-packed elimination and tables."""
     if f.is_zero():
         raise ValueError("the zero element carries no support bound")
     n = f.group.order
     w = f.weight()
-    rho = linalg.rank(f.multiplication_matrix(), f.field)
+    m = f.multiplication_matrix()
+    if f.field.p == 2:
+        # one Python int per row; the bit order is a column permutation,
+        # which leaves the rank alone
+        rho = linalg.f2_rank(int("".join(map(str, row)), 2) for row in m.tolist())
+    else:
+        rho = linalg.rank(m, f.field)
     t, _ = greedy_support_rank(f.group, f.support(), order)
     if rho < t:
         raise VerificationError(f"rank {rho} below greedy escape length {t}")
@@ -311,18 +321,26 @@ def solv_check(code: GCode) -> dict:
 # uncertainty sweep, which must still visit every f for its weight and greedy
 # escape lengths, reads the rank of f from its orbit minimum: the ranks of
 # the minima go into a dense table over all p^n indices (one byte each while
-# |G| < 256), and rank_of[i] = table[rep_of[i]] is one gather.  Every
-# _CROSSCHECK_STRIDE-th f is re-derived through uncertainty_check (rank of
-# f's own multiplication matrix), which audits that lookup as well.
+# |G| < 256), and rank_of[i] = table[rep_of[i]] is one gather.
 #
 # Greedy escape lengths work on bit-packed translate supports, one int64 word
-# per 64 columns: with W = galg.translate_weights(group), the product
-# (support indicators) @ W[w] yields, per f and per j, word w of the support
-# mask of f * g_j.  Distinct supports never collide inside one translate, so
-# OR equals SUM and one integer matmul per word replaces the inner loops.
+# per 64 columns: word w of the support mask of f * g_j.  Exhaustive sweeps
+# (|G| < 63, one word) read the masks from digit-block tables built like the
+# orbit pass's, with the term [digit != 0] * 2^(x*g_j) in place of
+# (c * digit mod p) * p^(x*g_j).  The weight of f is the popcount of its
+# identity column, and no digit matrix is formed.  Sampled sweeps, whose
+# indices may pass int64, take the masks as (support indicators) @ W[w] with
+# W = galg.translate_weights(group): distinct supports never collide inside
+# one translate, so OR equals SUM and one integer matmul per word serves.
 # Along a greedy order, one cumulative OR gives the union of the translates
 # seen so far; g is kept exactly when the union changes at g in some word, and
 # the translates cover the group when the last union is the full mask.
+#
+# Audit.  Every _CROSSCHECK_STRIDE-th f is re-derived through
+# uncertainty_check, which shares no code with the fast path: the rank of f's
+# own multiplication matrix (linalg.f2_rank on Python-int rows over F_2,
+# linalg.rank elsewhere), its weight and its natural-order greedy walk must
+# equal the rank lookup, the mask weight and the natural greedy length.
 # verify_all runs the orbit pass once and hands it to the uncertainty sweep
 # and the enumeration; the enumerated ideal list is shared by the bound,
 # equality and Schur sections.
@@ -399,13 +417,15 @@ def _eliminate(
     return ranks, ideals
 
 
-def _orbit_tables(group: Group, field: PrimeField) -> list[tuple[int, int, np.ndarray]]:
-    """Digit-block lookup tables of the orbit pass, one per block of s digits
-    (the last block may be shorter), as (p^first digit, p^width, table).
-    (f*g)[x*g] = f[x], so table[v, (c - 1) * n + j] is the index of c*f*g_j
-    restricted to the block: the sum over its digits x of
-    (c * digit_x(v) mod p) * p^(x*g_j)."""
-    n, p = group.order, field.p
+def _block_tables(
+    group: Group, p: int, values: Callable[[np.ndarray], list[np.ndarray]], base: int
+) -> list[tuple[int, int, np.ndarray]]:
+    """Digit-block lookup tables over the base-p digits of a generator index,
+    one per block of s digits (the last block may be shorter), as
+    (p^first digit, p^width, table).  values(digits) gives one array of
+    per-digit terms per column group; table[v, k * n + j] is the sum over the
+    block's digits x of values(digits of v)[k][x] * base^(x*g_j)."""
+    n = group.order
     s = 1
     while p ** (s + 1) <= _TABLE_SIZE:
         s += 1
@@ -413,10 +433,30 @@ def _orbit_tables(group: Group, field: PrimeField) -> list[tuple[int, int, np.nd
     for first in range(0, n, s):
         width = min(s, n - first)
         digits = _generator_digits(np.arange(p**width, dtype=np.int64), width, p)
-        weights = p ** group.table[first : first + width].astype(np.int64)
-        table = np.hstack([((c * digits) % p) @ weights for c in range(1, p)])
+        weights = base ** group.table[first : first + width].astype(np.int64)
+        table = np.hstack([value @ weights for value in values(digits)])
         tables.append((p**first, p**width, table))
     return tables
+
+
+def _orbit_tables(group: Group, field: PrimeField) -> list[tuple[int, int, np.ndarray]]:
+    """The orbit pass's tables.  (f*g)[x*g] = f[x], so table[v, (c - 1) * n + j]
+    is the index of c*f*g_j restricted to the block: the sum over its digits
+    x of (c * digit_x(v) mod p) * p^(x*g_j)."""
+    p = field.p
+    return _block_tables(group, p, lambda d: [(c * d) % p for c in range(1, p)], p)
+
+
+def _mask_tables(group: Group, field: PrimeField) -> list[tuple[int, int, np.ndarray]]:
+    """The uncertainty sweep's tables: table[v, j] is the block's part of the
+    support mask of f*g_j, the sum over its digits x of
+    [digit_x(v) != 0] * 2^(x*g_j)."""
+    return _block_tables(group, field.p, lambda d: [(d != 0).astype(np.int64)], 2)
+
+
+def _lookup(idx: np.ndarray, tables: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
+    """Per index, the sum over blocks of the table row at its block value."""
+    return sum(table[(idx // step) % size] for step, size, table in tables)
 
 
 def _orbit_minima(group: Group, field: PrimeField) -> np.ndarray:
@@ -425,10 +465,8 @@ def _orbit_minima(group: Group, field: PrimeField) -> np.ndarray:
     tables = _orbit_tables(group, field)
     rep_of = np.zeros(field.p**group.order, dtype=np.int64)
     for lo, hi in _chunk_ranges(len(rep_of)):
-        idx = np.arange(lo, hi, dtype=np.int64)
-        moved = sum(table[(idx // step) % size] for step, size, table in tables)
         # the identity translate at c = 1 keeps idx itself among the candidates
-        rep_of[lo:hi] = moved.min(axis=1)
+        rep_of[lo:hi] = _lookup(np.arange(lo, hi, dtype=np.int64), tables).min(axis=1)
     return rep_of
 
 
@@ -470,10 +508,11 @@ def verify_uncertainty(
     and both greedy escape lengths stay below the rank.
 
     Exhaustive mode reads the rank of f from its orbit minimum (`orbits`,
-    computed here when not given); sampled mode eliminates the sampled f
-    themselves.  Every _CROSSCHECK_STRIDE-th f is re-verified through the
-    public uncertainty_check path (full matrix rank of f itself), which
-    audits the packed masks and the rank lookup.
+    computed here when not given) and its translate masks from digit-block
+    tables; sampled mode eliminates the sampled f themselves and forms their
+    masks through galg.translate_weights.  Every _CROSSCHECK_STRIDE-th f is
+    re-verified through the public uncertainty_check path, whose rank,
+    weight and natural-order greedy length must match the fast path's.
     """
     n, p = group.order, field.p
     W = translate_weights(group)
@@ -483,23 +522,26 @@ def verify_uncertainty(
     if sample is None:
         if orbits is None:
             orbits = sweep_orbits(group, field)
-        batches = (
-            (np.arange(lo, hi, dtype=np.int64), orbits.rank_of[lo:hi])
-            for lo, hi in _chunk_ranges(p**n)
-        )
+        tables = _mask_tables(group, field)
+
+        def batches():
+            for lo, hi in _chunk_ranges(p**n):
+                idx = np.arange(lo, hi, dtype=np.int64)
+                # one word (|G| < 63); column 0, the identity translate, is f's own mask
+                masks = _lookup(idx, tables)[None]
+                yield idx, orbits.rank_of[lo:hi], np.bitwise_count(masks[0, :, 0]), masks
+
     else:
         picks = _sample_indices(n, p, sample, sample_seed)
-        batches = (
-            (idx, _eliminate(idx, group, field)[0])
-            for idx in np.split(picks, range(_SWEEP_CHUNK, len(picks), _SWEEP_CHUNK))
-        )
+
+        def batches():
+            for idx in np.split(picks, range(_SWEEP_CHUNK, len(picks), _SWEEP_CHUNK)):
+                bits = (_generator_digits(idx, n, p) != 0).astype(np.int64)
+                yield idx, _eliminate(idx, group, field)[0], bits.sum(axis=1), bits @ W
+
     checked = 0
     failures: list[dict] = []
-    for idx, ranks in batches:
-        digits = _generator_digits(idx, n, p)
-        bits = (digits != 0).astype(np.int64)
-        weights = bits.sum(axis=1)
-        masks = bits @ W
+    for idx, ranks, weights, masks in batches():
         t_nat, cov_nat = _greedy_lengths(masks, natural, full)
         t_shuf, cov_shuf = _greedy_lengths(masks, shuffled, full)
         suspect = (
@@ -521,11 +563,17 @@ def verify_uncertainty(
                 if w * rho < n:
                     raise VerificationError(f"product {w * rho} below {n}")
                 if idx[j] % _CROSSCHECK_STRIDE == 0:
-                    ref = uncertainty_check(AlgElem(group, field, digits[j]))
+                    digits = _generator_digits(idx[j : j + 1], n, p)[0]
+                    ref = uncertainty_check(AlgElem(group, field, digits))
                     if (ref.weight, ref.rank) != (w, rho):
                         raise VerificationError(
                             f"fast path disagrees with matrix path: "
                             f"{(w, rho)} vs {(ref.weight, ref.rank)}"
+                        )
+                    if ref.cover_rank != t_nat[j]:
+                        raise VerificationError(
+                            f"mask greedy length {t_nat[j]} disagrees with the "
+                            f"greedy walk {ref.cover_rank}"
                         )
             except VerificationError as exc:
                 failures.append({"f": int(idx[j]), "reason": str(exc)})

@@ -393,6 +393,73 @@ def test_uncertainty_audit_catches_a_wrong_rank_lookup(monkeypatch):
     assert clean["failures"] == [] and clean["checked"] == 15
 
 
+def test_uncertainty_audit_catches_a_wrong_rank_lookup_off_f2(monkeypatch):
+    monkeypatch.setattr(theorems, "_CROSSCHECK_STRIDE", 1)
+    orbits = theorems.sweep_orbits(S3, F3)
+    orbits.rank_of[5] += 1  # a corrupted orbit lookup
+    rep = theorems.verify_uncertainty(S3, F3, orbits=orbits)
+    assert [f["f"] for f in rep["failures"]] == [5]
+    assert "fast path disagrees with matrix path" in rep["failures"][0]["reason"]
+    clean = theorems.verify_uncertainty(S3, F3)
+    assert clean["failures"] == [] and clean["checked"] == 3**6 - 1
+
+
+def test_uncertainty_audit_catches_a_flipped_mask_entry(monkeypatch):
+    # C8/F2 has one digit block, so table row v serves index v alone
+    monkeypatch.setattr(theorems, "_CROSSCHECK_STRIDE", 1)
+    mask_tables = theorems._mask_tables
+
+    def flipped(group, field):
+        tables = mask_tables(group, field)
+        (_, _, table), = tables
+        # f = 1 + g_1: the translate by g_1 gains g_3, so the natural greedy
+        # walk skips g_2; coverage, weight and the rank bounds all still hold
+        table[3, 1] ^= 1 << 3
+        return tables
+
+    monkeypatch.setattr(theorems, "_mask_tables", flipped)
+    rep = theorems.verify_uncertainty(C8, F2)
+    assert rep["failures"] == [
+        {"f": 3, "reason": "mask greedy length 6 disagrees with the greedy walk 7"}
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, p",
+    [("cyclic:8", 2), ("dihedral:4", 2), ("symmetric:3", 3), ("cyclic:6", 3), ("cyclic:5", 5)],
+)
+def test_table_masks_match_the_translate_supports(spec, p):
+    group, field = from_spec(spec), PrimeField(p)
+    n = group.order
+    idx = np.arange(p**n, dtype=np.int64)
+    masks = theorems._lookup(idx, theorems._mask_tables(group, field))
+    assert masks.shape == (p**n, n)
+    for i in idx.tolist():
+        f = AlgElem(group, field, [(i // p**x) % p for x in range(n)])
+        assert masks[i].tolist() == [w for (w,) in oracles.translate_support_words(f)]
+        assert int(np.bitwise_count(masks[i, 0])) == f.weight()
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128])
+def test_uncertainty_check_f2_rank_matches_the_oracle(n):
+    # the audit's rank takes each row as one Python int; these orders put
+    # the rows on either side of 64 bits
+    group = make_cyclic(n)
+    rng = np.random.default_rng(n)
+    elems = [
+        AlgElem(group, F2, rng.integers(0, 2, size=n)),
+        AlgElem.all_ones(group, F2),
+        AlgElem(group, F2, [1, 1] + [0] * (n - 2)),
+    ]
+    for _ in range(6):  # (1 + x)^(2^k) has rank n - 2^k when 2^k divides n
+        elems.append(elems[-1].convolve(elems[-1]))
+    for f in elems:
+        if f.is_zero():
+            continue
+        want = oracles.rank_mod_p(f.multiplication_matrix().tolist(), 2)
+        assert theorems.uncertainty_check(f).rank == want
+
+
 def test_verify_all_enumerates_once(monkeypatch):
     calls = {"enumerate": 0, "orbits": 0}
     enumerate_ideals = theorems.enumerate_cyclic_ideals
