@@ -10,16 +10,18 @@ row as pivot, full elimination above and below.  This keeps every basis in
 the package byte-stable across runs and thread counts.
 
 `rref_stack` runs the same reduction on a whole (B, r, c) stack of matrices
-at once; the sweeps eliminate through it for every p.  Over F_2 there are
-two bit-packed layers.  One packer, `pack_f2`, writes each row as
-ceil(c/64) little-endian uint64 words; `rref_stack` clears a column on them
-with one XOR per row, and the minimum-distance scan XORs and counts them.
-The seeded ideal search keeps one Python int per row (bit c = column c) in
-`f2_rank`/`f2_rref` and unpacks the reduced rows with numpy shifts.
-`f2_rank` is also the independent F_2 rank of the uncertainty sweep's audit
-(theorems.uncertainty_check), since it shares no code with the packed
-words it audits.  Both layers are cross-checked against the generic path in
-the test suite.
+at once, for every p; the sweeps eliminate through it over odd p.  Over F_2
+there are two bit-packed layers.  A packed row is ceil(c/64) little-endian
+uint64 words (bit c % 64 of word c // 64 is column c): the F_2 sweeps build
+their translate rows in that form directly (galg.translate_weights) and
+reduce them with `f2_rref_stack`, one XOR per cleared row; `pack_f2` packs
+the rows the minimum-distance scan XORs and counts.  The seeded ideal search
+keeps one Python int per row (bit c = column c) in `f2_rank`/`f2_rref` and
+unpacks the reduced rows with numpy shifts.  `f2_rank` is also the
+independent F_2 rank of the uncertainty sweep's audit
+(theorems.uncertainty_check), since it shares no code with the packed words
+it audits.  Both layers are cross-checked against the generic path in the
+test suite.
 """
 
 from __future__ import annotations
@@ -203,15 +205,12 @@ def rref_stack(stack, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
     goes; every other entry changes by at most (p-1)^2 per column, so the
     entries stay within (p-1) + c*(p-1)^2 and the work dtype is the smallest
     one that holds that bound.  One reduction at the end makes all canonical.
-    Over F_2 the rows are packed into uint64 words instead (`_f2_rref_stack`),
-    and the pass XORs the pivot row into the rows it clears.
+    This is the reference `f2_rref_stack` is tested against over F_2.
     """
     p = field.p
     m = np.asarray(stack, dtype=np.int64)
     if m.ndim != 3:
         raise ValueError(f"expected a (B, r, c) stack, got ndim={m.ndim}")
-    if p == 2:
-        return _f2_rref_stack(m)
     nmat, nrows, ncols = m.shape
     bound = (p - 1) + ncols * (p - 1) ** 2
     dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
@@ -244,25 +243,27 @@ def rref_stack(stack, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
 def pack_f2(m: np.ndarray) -> np.ndarray:
     """Rows of integers, read mod 2 by their low bit (negative and unreduced
     entries too), as little-endian uint64 words along the last axis: bit
-    c % 64 of word c // 64 is column c.  The 0/1 bytes are padded to a
-    multiple of 8 columns only, not of 64, to keep the peak memory low."""
+    c % 64 of word c // 64 is column c."""
     *lead, ncols = m.shape
-    nbytes, nwords = -(-ncols // 8), -(-ncols // 64)
-    bits = np.zeros((*lead, 8 * nbytes), dtype=np.uint8)
+    bits = np.zeros((*lead, 64 * -(-ncols // 64)), dtype=np.uint8)
     bits[..., :ncols] = m  # the low byte keeps the residue mod 2, negatives too
     bits &= 1
-    buf = np.zeros((*lead, 8 * nwords), dtype=np.uint8)
-    buf[..., :nbytes] = np.packbits(bits, bitorder="little").reshape(*lead, nbytes)
-    return buf.view("<u8")
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
 
 
-def _f2_rref_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`rref_stack` over F_2 on rows packed by `pack_f2`.  Same pivot rule;
-    the pivot row is XORed into every other row with its bit set.  m holds
-    any int64 entries."""
-    nmat, nrows, ncols = m.shape
-    words = pack_f2(m)
-    nwords = words.shape[2]
+def unpack_f2(words: np.ndarray, ncols: int) -> np.ndarray:
+    """The inverse of `pack_f2`: 0/1 int64 entries, `ncols` along the last axis."""
+    bytes_ = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(bytes_, axis=-1, count=ncols, bitorder="little").astype(np.int64)
+
+
+def f2_rref_stack(words: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """`rref_stack` over F_2 on a (B, r, ceil(ncols/64)) stack of rows packed
+    as by `pack_f2`; returns (reduced words, ranks), reducing `words` in
+    place.  Same pivot rule; the pivot row is XORed into every other row
+    with its bit set.  The reduced rows are canonical, so their bytes key
+    the row space."""
+    nmat, nrows, nwords = words.shape
     ranks = np.zeros(nmat, dtype=np.int64)
     below = np.arange(nrows)
     every = np.arange(nmat)
@@ -285,8 +286,7 @@ def _f2_rref_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             word[every, i] = word[every, r]
             word[every, r] = pivot
         ranks += has
-    bits = np.unpackbits(words.view(np.uint8), axis=2, count=ncols, bitorder="little")
-    return bits.astype(np.int64), ranks
+    return words, ranks
 
 
 def kernel(a, field: PrimeField, width: int | None = None) -> RowBasis:

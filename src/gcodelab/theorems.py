@@ -10,6 +10,7 @@ machine-checkable form of the structure results.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -303,11 +304,17 @@ def solv_check(code: GCode) -> dict:
 # c != 0 and every g in G, so an exhaustive sweep first maps every index to
 # the smallest index of its orbit (the orbit pass) and eliminates only those
 # orbit minima: one translate matrix per minimum, row j = f*g_j, reduced in
-# batches by linalg.rref_stack.  The set of generators of an ideal is a union
-# of orbits, so its smallest generator -- the tag the sweeps report -- is an
-# orbit minimum and the tags are those of an unpruned sweep.  Sampled sweeps
-# keep their meaning: they eliminate the sampled generators themselves, with
-# no orbit pass over all p^n indices.
+# batches.  Over odd p the batch is an integer stack reduced by
+# linalg.rref_stack.  Over F_2 row j is the support mask of f*g_j, so the
+# batch is formed as packed words, digits @ galg.translate_weights (one matmul
+# per word, no (batch, n, n) stack), and reduced on the words by
+# linalg.f2_rref_stack; the bytes of the reduced words key the deduplication
+# (the RREF is unique) and only the rows of the ideals kept are unpacked.
+# The set of generators of an ideal is a union of orbits, so its smallest
+# generator -- the tag the sweeps report -- is an orbit minimum and the tags
+# are those of an unpruned sweep.  Sampled sweeps keep their meaning: they
+# eliminate the sampled generators themselves, with no orbit pass over all
+# p^n indices.
 #
 # Orbit minima by digit-block lookup.  The index of c*f*g is linear in the
 # digits of the index of f, so it is a sum over blocks of s digits (s the
@@ -370,12 +377,6 @@ def _generator_digits(idx: np.ndarray, n: int, p: int) -> np.ndarray:
     return digits.astype(np.int64, copy=False)
 
 
-def _translate_index(group: Group) -> np.ndarray:
-    """Row j maps x to x * g_j^(-1): digits[row j] are the coefficients of
-    f * g_j, so digits[:, table] stacks the translate matrices."""
-    return group.table[:, group.inverse].T.copy()
-
-
 def _chunk_ranges(total: int, chunk: int = _SWEEP_CHUNK) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, total)) for lo in range(1, total, chunk)]
 
@@ -399,21 +400,28 @@ def _eliminate(
 ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """Ranks of the ideals generated by the given ascending generator indices,
     and the distinct ideals among them as (first index, RREF rows)."""
-    translate = _translate_index(group)
+    n, p = group.order, field.p
+    # row j of translate maps x to x * g_j^(-1): digits[:, translate] stacks the
+    # translate matrices, row j of f's holding the coefficients of f * g_j
+    translate, weights = group.table[:, group.inverse].T, translate_weights(group)
     ranks = np.empty(len(indices), dtype=np.int64)
     seen: set[bytes] = set()
     ideals: list[tuple[int, np.ndarray]] = []
     for lo in range(0, len(indices), _SWEEP_CHUNK):
         idx = indices[lo : lo + _SWEEP_CHUNK]
-        digits = _generator_digits(idx, group.order, field.p)
-        reduced, rk = linalg.rref_stack(digits[:, translate], field)
+        digits = _generator_digits(idx, n, p)
+        if p == 2:  # row j, the support mask of f*g_j, as the words of pack_f2
+            words = (digits @ weights).transpose(1, 2, 0).view(np.uint64)
+            reduced, rk = linalg.f2_rref_stack(words, n)
+        else:
+            reduced, rk = linalg.rref_stack(digits[:, translate], field)
         ranks[lo : lo + len(idx)] = rk
         for j, (fidx, k) in enumerate(zip(idx.tolist(), rk.tolist())):
             rows = reduced[j, :k]
             key = rows.tobytes()
             if key not in seen:
                 seen.add(key)
-                ideals.append((fidx, rows.copy()))
+                ideals.append((fidx, linalg.unpack_f2(rows, n) if p == 2 else rows.copy()))
     return ranks, ideals
 
 
@@ -518,7 +526,7 @@ def verify_uncertainty(
     W = translate_weights(group)
     full = np.bitwise_or.reduce(W, axis=(1, 2))
     natural = np.arange(n)
-    shuffled = np.random.default_rng(_SHUFFLE_SEED).permutation(n)
+    shuffled = random.Random(_SHUFFLE_SEED).sample(range(n), n)
     if sample is None:
         if orbits is None:
             orbits = sweep_orbits(group, field)

@@ -267,6 +267,11 @@ def test_rref_stack_matches_rref_and_oracle(case, lift_seed):
     lift = np.random.default_rng(lift_seed).integers(-2, 3, size=stack.shape)
     reduced, ranks = linalg.rref_stack(stack + p * lift, field)
     assert reduced.shape == stack.shape and ranks.shape == (len(kinds),)
+    if p == 2:
+        # the word kernel the F_2 sweeps use, against the int path
+        words, word_ranks = linalg.f2_rref_stack(linalg.pack_f2(stack + p * lift), cols)
+        assert np.array_equal(word_ranks, ranks)
+        assert np.array_equal(linalg.unpack_f2(words, cols), reduced)
     for b, (kind, _) in enumerate(kinds):
         ref = linalg.rref(stack[b], field, width=cols)
         assert ranks[b] == ref.dim == oracles.rank_mod_p(stack[b].tolist(), p)
@@ -310,3 +315,4 @@ def test_pack_f2_reads_the_low_bit_of_any_entry(cols):
     words = linalg.pack_f2(m)
     assert words.shape == (2, 3, -(-cols // 64)) and words.dtype == np.uint64
     assert words.reshape(6, -1).tolist() == oracles.f2_words(m.reshape(6, cols).tolist())
+    assert np.array_equal(linalg.unpack_f2(words, cols), m & 1)

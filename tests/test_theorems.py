@@ -1,4 +1,9 @@
 import json
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -240,7 +245,7 @@ def test_greedy_lengths_match_the_greedy_walk(spec, p):
     weights = translate_weights(group)
     full = np.bitwise_or.reduce(weights, axis=(1, 2))
     masks = bits @ weights
-    shuffled = np.random.default_rng(theorems._SHUFFLE_SEED).permutation(n)
+    shuffled = random.Random(theorems._SHUFFLE_SEED).sample(range(n), n)
     for order in (np.arange(n), shuffled):
         t, covers = theorems._greedy_lengths(masks, order, full)
         want = [theorems.greedy_support_rank(group, np.flatnonzero(b), order)[0] for b in bits]
@@ -259,6 +264,30 @@ def test_greedy_lengths_match_the_greedy_walk(spec, p):
 def test_sampled_uncertainty_past_order_62(spec, p, sample):
     rep = theorems.verify_uncertainty(from_spec(spec), PrimeField(p), sample=sample)
     assert rep["checked"] == sample and rep["failures"] == []
+
+
+def test_sampled_uncertainty_at_order_128_keeps_no_translate_stack():
+    # the (chunk, n, n) int64 stack of translate matrices alone was 134 MB
+    tracemalloc.start()
+    try:
+        rep = theorems.verify_uncertainty(make_cyclic(128), F2, sample=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["checked"] == 1000 and rep["failures"] == []
+    assert peak < 32 * 2**20
+
+
+def test_exhaustive_verify_all_does_not_load_numpy_random():
+    script = (
+        "import contextlib, io, sys\n"
+        "from gcodelab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['verify', 'all', '--group', 'cyclic:8', '--p', '2', '--json']) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
 
 def test_restricted_rank_is_line_detector():
@@ -367,7 +396,7 @@ def test_sweep_orbits_ranks_match_matrix_rank():
 
 
 def test_sampled_enumeration_on_two_word_rows_matches_per_generator_rref():
-    # order 70: each translate row spans two uint64 words in rref_stack
+    # order 70: each translate row spans two uint64 words in f2_rref_stack
     group = make_cyclic(70)
     found = theorems.enumerate_cyclic_ideals(group, F2, sample=20, sample_seed=3)
     expected: dict[bytes, tuple[int, linalg.RowBasis]] = {}
