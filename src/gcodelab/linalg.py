@@ -126,13 +126,10 @@ class RowBasis:
 
     def contains(self, v) -> bool:
         """Membership of a single vector in the row space."""
-        v = np.asarray(v, dtype=np.int64) % self.field.p
+        v = np.asarray(v, dtype=np.int64)
         if v.shape != (self.ambient,):
             raise ValueError(f"expected a vector of length {self.ambient}")
-        if self.dim == 0:
-            return not np.any(v)
-        coeffs = v[list(self.pivots)]
-        return bool(np.array_equal((coeffs @ self.matrix) % self.field.p, v))
+        return self.contains_rows(v[None])
 
     def contains_rows(self, rows: np.ndarray) -> bool:
         """True when every row of `rows` lies in the row space."""
@@ -308,18 +305,21 @@ def subspace_sum(a: RowBasis, b: RowBasis) -> RowBasis:
 
 
 def subspace_intersect(a: RowBasis, b: RowBasis) -> RowBasis:
-    """Intersection via the Zassenhaus block trick."""
+    """Intersection via the Zassenhaus block trick, in one reduction.
+
+    The rows of the reduced [[A, A], [B, 0]] whose pivot c lies in the right
+    half are zero on the left, and their right halves span the meet.  Those
+    rows come last, and the reduction already made each pivot entry 1 and
+    cleared its column in every other row, so the right halves are the
+    canonical RREF of the meet, with pivots c - n, as they stand.
+    """
     _check_compatible(a, b)
     n = a.ambient
-    if a.dim == 0 or b.dim == 0:
-        return rref(np.zeros((0, n), dtype=np.int64), a.field, width=n)
     top = np.hstack([a.matrix, a.matrix])
     bot = np.hstack([b.matrix, np.zeros_like(b.matrix)])
     reduced, pivots = _rref_array(np.vstack([top, bot]), a.field)
-    inter_rows = [reduced[r, n:] for r, c in enumerate(pivots) if c >= n]
-    if not inter_rows:
-        return rref(np.zeros((0, n), dtype=np.int64), a.field, width=n)
-    return rref(np.array(inter_rows, dtype=np.int64), a.field, width=n)
+    r = sum(c < n for c in pivots)
+    return RowBasis(reduced[r:, n:], [c - n for c in pivots[r:]], a.field)
 
 
 def _check_compatible(a: RowBasis, b: RowBasis) -> None:

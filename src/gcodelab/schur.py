@@ -5,7 +5,9 @@ of their basis rows; it is an ideal again, and its dimension obeys
 
     dim (C * C') <= min(n, k*k' - binom(dim(C intersect C'), 2)),
 
-which is asserted on every product.  Powers C, C*C, (C*C)*C, ... have
+which is asserted on every product.  The meet's dimension is read off the
+sum, dim(C intersect C') = dim C + dim C' - dim(C + C'), so the bound costs
+one elimination of the stacked bases.  Powers C, C*C, (C*C)*C, ... have
 non-decreasing dimension; the chain report records the dimension profile,
 the first index where the dimension goes flat, and the eventual behaviour of
 the codes themselves, which may be a fixed code or (away from F_2) a cycle
@@ -38,12 +40,11 @@ def schur_product(a: GCode, b: GCode) -> GCode:
     if a.field != b.field:
         raise ValueError(f"modulus mismatch: {a.field.p} vs {b.field.p}")
     n = a.length
-    p = a.field.p
-    rows = (a.basis.matrix[:, None, :] * b.basis.matrix[None, :, :]).reshape(-1, n) % p
+    rows = (a.basis.matrix[:, None, :] * b.basis.matrix[None, :, :]).reshape(-1, n)
     out = GCode(a.group, linalg.rref(rows, a.field, width=n))
-    meet = linalg.subspace_intersect(a.basis, b.basis).dim
+    meet = a.dim + b.dim - linalg.subspace_sum(a.basis, b.basis).dim
     cap = min(n, a.dim * b.dim - meet * (meet - 1) // 2)
-    if a.dim and b.dim and out.dim > cap:
+    if out.dim > cap:
         raise VerificationError(
             f"product dimension {out.dim} exceeds the bound {cap}"
         )

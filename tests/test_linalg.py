@@ -160,6 +160,41 @@ def test_sum_intersect_dimension_formula_fuzz(case, seed2):
     assert total == a.dim + b.dim
 
 
+intersect_cases = st.tuples(
+    st.sampled_from([2, 3, 5]),
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=4),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(intersect_cases)
+def test_subspace_intersect_matches_dual_oracle_fuzz(case):
+    # the dimension formula test above checks only dim; this one checks the
+    # basis itself, zero-dimensional and equal inputs included, against
+    # (A^perp + B^perp)^perp
+    p, cols, a_rows, shared, extra, equal, seed = case
+    field = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    a = linalg.rref(rng.integers(0, p, size=(a_rows, cols)), field, width=cols)
+    if equal:
+        b = a
+    else:
+        # combinations of A's rows next to random rows, so the meet is often nonzero
+        mixed = rng.integers(0, p, size=(shared, a.dim)) @ a.matrix
+        fresh = rng.integers(0, p, size=(extra, cols))
+        b = linalg.rref(np.vstack([mixed, fresh]), field, width=cols)
+    meet = linalg.subspace_intersect(a, b)
+    duals = np.vstack([linalg.kernel(a.matrix, field, width=cols).matrix,
+                       linalg.kernel(b.matrix, field, width=cols).matrix])
+    assert meet == linalg.kernel(duals, field, width=cols)
+    assert a.contains_rows(meet.matrix) and b.contains_rows(meet.matrix)
+
+
 @settings(max_examples=60, deadline=None)
 @given(algebra_cases)
 def test_kernel_biduality_fuzz(case):

@@ -1,7 +1,7 @@
 import pytest
 
 from gcodelab import gcode as gc
-from gcodelab import schur
+from gcodelab import linalg, schur, theorems
 from gcodelab.errors import VerificationError
 from gcodelab.ffield import PrimeField
 from gcodelab.galg import AlgElem
@@ -23,12 +23,34 @@ def test_product_examples():
     code = gc.trivial_induced(C4, F2, Subgroup(C4, [0, 2]))
     zero = gc.zero_code(C4, F2)
     assert schur.schur_product(code, zero).dim == 0
+    # an empty product stack carries its width into the reduction and the sum
+    assert schur.schur_product(zero, zero) == zero
 
     line = gc.ideal_from_generators(C2, F3, [AlgElem(C2, F3, [1, 2])])
     square = schur.schur_product(line, line)
     assert square.basis.matrix.tolist() == [[1, 1]]
 
     assert schur.schur_product(code, code) == code
+
+
+def test_product_meets_its_bound_with_equality():
+    # dim(C*C') = k*k' - binom(meet, 2) here, so an overstated meet would raise
+    c6 = dict(enumerate_cyclic_ideals(make_cyclic(6), F3))
+    c7 = dict(enumerate_cyclic_ideals(make_cyclic(7), F2))
+    for a, b, dims in ((c6[44], c6[140], (3, 2, 2, 5)), (c7[23], c7[23], (3, 3, 3, 6))):
+        meet = linalg.subspace_intersect(a.basis, b.basis).dim
+        prod = schur.schur_product(a, b)
+        assert (a.dim, b.dim, meet, prod.dim) == dims
+        assert prod.dim == a.dim * b.dim - meet * (meet - 1) // 2
+
+
+def test_verify_all_needs_no_intersection(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("subspace_intersect called")
+
+    monkeypatch.setattr(linalg, "subspace_intersect", refuse)
+    for group in (make_dihedral(4), make_cyclic(16)):
+        assert theorems.verify_all(group, F2)["failures"] == []
 
 
 def test_product_mismatch_errors():
