@@ -125,15 +125,15 @@ def _resolve_code(args, parser) -> GCode:
     if args.code:
         return gc.load_code(args.code)
     _require(args, parser, "group", "p", "gen")
-    group = _resolve_group(args)
-    field = _resolve_field(args)
-    gens = [
-        AlgElem.from_text(group, field, part)
-        for part in args.gen.split(";")
-        if part.strip()
-    ]
+    return _ideal_from_text(_resolve_group(args), _resolve_field(args), args.gen, "--gen", parser)
+
+
+def _ideal_from_text(group, field, text: str, option: str, parser) -> GCode:
+    """The ideal generated by ';'-separated coefficient vectors; an option
+    that names none is a usage error."""
+    gens = [AlgElem.from_text(group, field, part) for part in text.split(";") if part.strip()]
     if not gens:
-        parser.error("--gen must contain at least one coefficient vector")
+        parser.error(f"{option} must contain at least one coefficient vector")
     return gc.ideal_from_generators(group, field, gens)
 
 
@@ -217,13 +217,7 @@ def _cmd_construct_rm(args, parser) -> int:
 def _cmd_schur(args, parser) -> int:
     code = _resolve_code(args, parser)
     if args.subcommand == "product":
-        group, field = code.group, code.field
-        other_gens = [
-            AlgElem.from_text(group, field, part)
-            for part in args.with_gen.split(";")
-            if part.strip()
-        ]
-        other = gc.ideal_from_generators(group, field, other_gens)
+        other = _ideal_from_text(code.group, code.field, args.with_gen, "--with", parser)
         _emit_code(args, schur.schur_product(code, other))
         return 0
     if args.subcommand == "power":

@@ -200,22 +200,20 @@ class ProjectiveCoverResult:
 
 
 def projective_cover_trivial(group: Group, field: PrimeField) -> ProjectiveCoverResult:
+    """The span of the right-coset indicators of the normal p-complement H,
+    which is G when p does not divide |G| and {1} when G is a p-group."""
     p = field.p
-    if group.order % p != 0:
-        cover = gc.trivial_induced(group, field, Subgroup(group, range(group.order)))
+    comp = normal_p_complement(group, p)
+    if comp is None:
+        raise UnsupportedCover(
+            f"no computable cover for {group.name} at p={p}: "
+            "not semisimple, not a p-group, no normal p-complement"
+        )
+    cover = gc.trivial_induced(group, field, comp)
+    if len(comp) == group.order:  # first, for the trivial group
         method = "semisimple"
-    elif is_p_group(group, p):
-        cover = gc.full_algebra(group, field)
-        method = "p-group"
     else:
-        comp = normal_p_complement(group, p)
-        if comp is None:
-            raise UnsupportedCover(
-                f"no computable cover for {group.name} at p={p}: "
-                "not semisimple, not a p-group, no normal p-complement"
-            )
-        cover = gc.trivial_induced(group, field, comp)
-        method = "p-nilpotent"
+        method = "p-group" if len(comp) == 1 else "p-nilpotent"
     sums = cover.basis.matrix.sum(axis=1) % p
     if cover.dim and not np.any(sums):
         raise VerificationError("cover collapsed into the augmentation kernel")
@@ -304,10 +302,10 @@ def solv_check(code: GCode) -> dict:
 # c != 0 and every g in G, so an exhaustive sweep first maps every index to
 # the smallest index of its orbit (the orbit pass) and eliminates only those
 # orbit minima: one translate matrix per minimum, row j = f*g_j, reduced in
-# batches.  Over odd p the batch is an integer stack reduced by
-# linalg.rref_stack.  Over F_2 row j is the support mask of f*g_j, so the
-# batch is formed as packed words, digits @ galg.translate_weights (one matmul
-# per word, no (batch, n, n) stack), and reduced on the words by
+# batches by one step, _reduce.  Over odd p the batch is an integer stack
+# reduced by linalg.rref_stack.  Over F_2 row j is the support mask of f*g_j,
+# so the batch is formed as packed words, digits @ galg.translate_weights (one
+# matmul per word, no (batch, n, n) stack), and reduced on the words by
 # linalg.f2_rref_stack; the bytes of the reduced words key the deduplication
 # (the RREF is unique) and only the rows of the ideals kept are unpacked.
 # The set of generators of an ideal is a union of orbits, so its smallest
@@ -335,10 +333,13 @@ def solv_check(code: GCode) -> dict:
 # (|G| < 63, one word) read the masks from digit-block tables built like the
 # orbit pass's, with the term [digit != 0] * 2^(x*g_j) in place of
 # (c * digit mod p) * p^(x*g_j).  The weight of f is the popcount of its
-# identity column, and no digit matrix is formed.  Sampled sweeps, whose
-# indices may pass int64, take the masks as (support indicators) @ W[w] with
-# W = galg.translate_weights(group): distinct supports never collide inside
-# one translate, so OR equals SUM and one integer matmul per word serves.
+# identity column (in both modes), and no digit matrix is formed.  Sampled
+# sweeps, whose indices may pass int64, take the masks as (support
+# indicators) @ W[w] with W = galg.translate_weights(group): distinct supports
+# never collide inside one translate, so OR equals SUM and one integer matmul
+# per word serves.  They form each chunk's digits and masks once and rank f
+# through _reduce, whose F_2 elimination reads a copy of those same words; no
+# ideal list is built.
 # Along a greedy order, one cumulative OR gives the union of the translates
 # seen so far; g is kept exactly when the union changes at g in some word, and
 # the translates cover the group when the last union is the full mask.
@@ -395,26 +396,40 @@ def _sample_indices(n: int, p: int, sample: int, seed: int) -> np.ndarray:
     return np.sort(digits.astype(object) @ p ** np.arange(n, dtype=object))
 
 
+def _translate_index(group: Group) -> np.ndarray:
+    """Row j maps x to x * g_j^(-1): digits[:, translate] stacks the translate
+    matrices, row j of f's holding the coefficients of f * g_j."""
+    return group.table[:, group.inverse].T
+
+
+def _reduce(
+    digits: np.ndarray, masks: np.ndarray | None, translate: np.ndarray, field: PrimeField
+) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk's elimination: the canonical RREF and rank of the translate
+    matrix of each f.  Over F_2 row j is the support mask of f*g_j, so a copy
+    of the mask words masks[w, f, j] is reduced by linalg.f2_rref_stack;
+    over odd p the digit stack goes to linalg.rref_stack."""
+    if field.p == 2:  # the words of pack_f2, (f, j, w), which it reduces in place
+        words = masks.copy().transpose(1, 2, 0).view(np.uint64)
+        return linalg.f2_rref_stack(words, len(translate))
+    return linalg.rref_stack(digits[:, translate], field)
+
+
 def _eliminate(
     indices: np.ndarray, group: Group, field: PrimeField
 ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """Ranks of the ideals generated by the given ascending generator indices,
     and the distinct ideals among them as (first index, RREF rows)."""
     n, p = group.order, field.p
-    # row j of translate maps x to x * g_j^(-1): digits[:, translate] stacks the
-    # translate matrices, row j of f's holding the coefficients of f * g_j
-    translate, weights = group.table[:, group.inverse].T, translate_weights(group)
+    translate, weights = _translate_index(group), translate_weights(group)
     ranks = np.empty(len(indices), dtype=np.int64)
     seen: set[bytes] = set()
     ideals: list[tuple[int, np.ndarray]] = []
     for lo in range(0, len(indices), _SWEEP_CHUNK):
         idx = indices[lo : lo + _SWEEP_CHUNK]
         digits = _generator_digits(idx, n, p)
-        if p == 2:  # row j, the support mask of f*g_j, as the words of pack_f2
-            words = (digits @ weights).transpose(1, 2, 0).view(np.uint64)
-            reduced, rk = linalg.f2_rref_stack(words, n)
-        else:
-            reduced, rk = linalg.rref_stack(digits[:, translate], field)
+        # over F_2 the digits are the support indicators
+        reduced, rk = _reduce(digits, digits @ weights if p == 2 else None, translate, field)
         ranks[lo : lo + len(idx)] = rk
         for j, (fidx, k) in enumerate(zip(idx.tolist(), rk.tolist())):
             rows = reduced[j, :k]
@@ -517,8 +532,9 @@ def verify_uncertainty(
 
     Exhaustive mode reads the rank of f from its orbit minimum (`orbits`,
     computed here when not given) and its translate masks from digit-block
-    tables; sampled mode eliminates the sampled f themselves and forms their
-    masks through galg.translate_weights.  Every _CROSSCHECK_STRIDE-th f is
+    tables; sampled mode forms the masks of the sampled f through
+    galg.translate_weights and ranks each f by eliminating its translate
+    matrix (over F_2, those mask words).  Every _CROSSCHECK_STRIDE-th f is
     re-verified through the public uncertainty_check path, whose rank,
     weight and natural-order greedy length must match the fast path's.
     """
@@ -534,22 +550,25 @@ def verify_uncertainty(
 
         def batches():
             for lo, hi in _chunk_ranges(p**n):
-                idx = np.arange(lo, hi, dtype=np.int64)
-                # one word (|G| < 63); column 0, the identity translate, is f's own mask
-                masks = _lookup(idx, tables)[None]
-                yield idx, orbits.rank_of[lo:hi], np.bitwise_count(masks[0, :, 0]), masks
+                idx = np.arange(lo, hi, dtype=np.int64)  # |G| < 63: one mask word
+                yield idx, orbits.rank_of[lo:hi], _lookup(idx, tables)[None]
 
     else:
         picks = _sample_indices(n, p, sample, sample_seed)
+        translate = _translate_index(group)
 
         def batches():
             for idx in np.split(picks, range(_SWEEP_CHUNK, len(picks), _SWEEP_CHUNK)):
-                bits = (_generator_digits(idx, n, p) != 0).astype(np.int64)
-                yield idx, _eliminate(idx, group, field)[0], bits.sum(axis=1), bits @ W
+                digits = _generator_digits(idx, n, p)
+                masks = (digits != 0).astype(np.int64) @ W
+                yield idx, _reduce(digits, masks, translate, field)[1], masks
 
     checked = 0
     failures: list[dict] = []
-    for idx, ranks, weights, masks in batches():
+    for idx, ranks, masks in batches():
+        # column 0, the identity translate, is f's own mask; bit 63 of a word
+        # is the int64 sign bit, so the words are counted as uint64
+        weights = np.bitwise_count(masks[:, :, 0].view(np.uint64)).sum(axis=0, dtype=np.int64)
         t_nat, cov_nat = _greedy_lengths(masks, natural, full)
         t_shuf, cov_shuf = _greedy_lengths(masks, shuffled, full)
         suspect = (

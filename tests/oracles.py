@@ -158,6 +158,28 @@ def normal_complement_scan(table, inverse, p):
     return members if is_normal_scan(table, inverse, members) else None
 
 
+def projective_cover_cases(table, inverse, p):
+    """The cover of the trivial module by its three classical cases, as
+    (canonical basis rows, method): the all-ones line when p does not divide
+    the order, the whole algebra for a p-group, and the right-coset indicators
+    of the normal p-complement otherwise; None when no case applies."""
+    n = len(table)
+    rest = n
+    while rest % p == 0:
+        rest //= p
+    if n % p:
+        members, method = list(range(n)), "semisimple"
+    elif rest == 1:
+        members, method = [0], "p-group"
+    else:
+        members, method = normal_complement_scan(table, inverse, p), "p-nilpotent"
+        if members is None:
+            return None
+    cosets = {frozenset(table[h][g] for h in members) for g in range(n)}
+    rows = [[int(x in coset) for x in range(n)] for coset in cosets]
+    return sorted(rows, key=lambda row: row.index(1)), method
+
+
 def is_ideal_scan(table, rows, p):
     """Row space closed under right translation by every element: for each
     g, adding the translated rows leaves the rank unchanged."""

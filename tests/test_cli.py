@@ -41,6 +41,19 @@ def test_schur_product_example(capsys):
     assert payload["basis"] == [[1, 1]] and payload["dim"] == 1
 
 
+@pytest.mark.parametrize("option", ["--gen", "--with"])
+def test_schur_product_needs_a_generator_in_each_factor(capsys, option):
+    argv = ["schur", "product", "--group", "cyclic:2", "--p", "3",
+            "--gen", "1,2", "--with", "1,2", "--json"]
+    argv[argv.index(option) + 1] = ";"
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: {option} must contain at least one coefficient vector\n"
+    )
+
+
 def test_schur_power_and_fixed_point(capsys):
     code, lines = run_lines(
         capsys,

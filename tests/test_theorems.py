@@ -166,6 +166,26 @@ def test_projective_cover_cases():
         theorems.projective_cover_trivial(make_symmetric(4), F2)
 
 
+COVER_SPECS = [
+    "cyclic:1", "cyclic:2", "cyclic:6", "cyclic:8", "cyclic:12", "cyclic:15",
+    "symmetric:3", "symmetric:4", "symmetric:5", "dihedral:4", "dihedral:5",
+    "dihedral:6", "quaternion8", "elemabelian:3,2", "cyclic:4xcyclic:2",
+]
+
+
+@pytest.mark.parametrize("spec", COVER_SPECS)
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_projective_cover_matches_the_three_case_oracle(spec, p):
+    group = from_spec(spec)
+    want = oracles.projective_cover_cases(group.table.tolist(), group.inverse.tolist(), p)
+    if want is None:
+        with pytest.raises(UnsupportedCover):
+            theorems.projective_cover_trivial(group, PrimeField(p))
+        return
+    res = theorems.projective_cover_trivial(group, PrimeField(p))
+    assert (res.code.basis.matrix.tolist(), res.method) == want
+
+
 def test_schur_square_theorem_check_examples():
     line = gc.ideal_from_generators(C2, F3, [AlgElem(C2, F3, [1, 2])])
     v = theorems.schur_square_theorem_check(line)
@@ -259,11 +279,31 @@ def test_greedy_lengths_match_the_greedy_walk(spec, p):
 
 
 @pytest.mark.parametrize(
-    "spec, p, sample", [("cyclic:64", 2, 200), ("cyclic:128", 2, 50), ("symmetric:5", 3, 50)]
+    "spec, p, sample, seed",
+    [
+        pytest.param("cyclic:64", 2, 200, 0, id="cyclic:64-2-200"),
+        pytest.param("cyclic:70", 2, 300, 3, id="cyclic:70-2-300"),  # rows span two words
+        pytest.param("cyclic:128", 2, 50, 0, id="cyclic:128-2-50"),
+        pytest.param("symmetric:5", 3, 50, 0, id="symmetric:5-3-50"),
+    ],
 )
-def test_sampled_uncertainty_past_order_62(spec, p, sample):
-    rep = theorems.verify_uncertainty(from_spec(spec), PrimeField(p), sample=sample)
+def test_sampled_uncertainty_past_order_62(spec, p, sample, seed, monkeypatch):
+    # every f is audited: popcounts of int64 words count |x|, wrong when bit 63 is set
+    monkeypatch.setattr(theorems, "_CROSSCHECK_STRIDE", 1)
+    group, field = from_spec(spec), PrimeField(p)
+    rep = theorems.verify_uncertainty(group, field, sample=sample, sample_seed=seed)
     assert rep["checked"] == sample and rep["failures"] == []
+
+
+def test_sampled_uncertainty_ranks_on_its_own_masks(monkeypatch):
+    # the ranks come from the chunk's mask words: no ideal list, no unpacking
+    def forbidden(*args):
+        raise AssertionError("the sampled sweep builds no ideal list")
+
+    monkeypatch.setattr(linalg, "unpack_f2", forbidden)
+    monkeypatch.setattr(theorems, "_eliminate", forbidden)
+    rep = theorems.verify_uncertainty(make_cyclic(70), F2, sample=300, sample_seed=3)
+    assert rep["checked"] == 300 and rep["failures"] == []
 
 
 def test_sampled_uncertainty_at_order_128_keeps_no_translate_stack():
