@@ -27,6 +27,32 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# every option a command can read; each command takes --json, --threads and
+# the ones its handler reads, so an option it would ignore is a usage error
+_OPTIONS = {
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--threads": dict(type=int, default=None,
+                      help="a no-op that every command accepts: all run in one thread"),
+    "--seed": dict(type=int, default=0, help="randomness seed"),
+    "--guard": dict(type=int, default=None, help="codeword enumeration cap"),
+    "--group": dict(help="builtin spec (cyclic:8, elemabelian:2,3, ...) or JSON path"),
+    "--p": dict(type=int, help="prime field modulus (alias --field)"),
+    "--gen": dict(help="generator coefficients, ';'-separated for several"),
+    "--code": dict(help="code JSON file, instead of --group, --p and --gen"),
+    "--out": dict(help="write the resulting object to this path"),
+    "--subgroup": dict(required=True, help="member indices, e.g. 0,2"),
+    "--r": dict(type=int, required=True),
+    "--m": dict(type=int, required=True),
+    "--check-square": dict(action="store_true"),
+    "--with": dict(dest="with_gen", required=True, help="second factor coefficients"),
+    "--max-t": dict(type=int, default=None),
+    "--exhaustive": dict(action="store_true",
+                         help="force full enumeration past the feasibility cap"),
+    "--sample": dict(type=int, default=None, help="check a seeded sample of N generators"),
+    "--budget": dict(type=int, required=True),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcodelab",
@@ -34,73 +60,48 @@ def build_parser() -> argparse.ArgumentParser:
         "products, and exhaustive verification sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; every command runs in one thread")
-    common.add_argument("--seed", type=int, default=0, help="randomness seed")
-    common.add_argument("--guard", type=int, default=None, help="codeword enumeration cap")
-
-    src = argparse.ArgumentParser(add_help=False)
-    src.add_argument("--group", help="builtin spec (cyclic:8, elemabelian:2,3, ...) or JSON path")
-    src.add_argument("--p", "--field", dest="p", type=int, help="prime field modulus")
-    src.add_argument("--gen", help="generator coefficients, ';'-separated for several")
-    src.add_argument("--code", help="code JSON file")
-    src.add_argument("--out", help="write the resulting object to this path")
-
-    p_group = sub.add_parser("group", help="build or inspect groups")
-    g_sub = p_group.add_subparsers(dest="subcommand", required=True)
-    for name in ("make", "show"):
-        gp = g_sub.add_parser(name, parents=[common, src])
-        gp.set_defaults(handler=_cmd_group, subcommand=name)
-
-    p_code = sub.add_parser("code", help="ideals and their parameters")
-    c_sub = p_code.add_subparsers(dest="subcommand", required=True)
-    for name in ("ideal", "params", "dual", "induced"):
-        cp = c_sub.add_parser(name, parents=[common, src])
-        if name == "induced":
-            cp.add_argument("--subgroup", required=True, help="member indices, e.g. 0,2")
-        cp.set_defaults(handler=_cmd_code, subcommand=name)
-
-    p_con = sub.add_parser("construct", help="named code families")
-    n_sub = p_con.add_subparsers(dest="subcommand", required=True)
-    rm = n_sub.add_parser("rm", parents=[common, src])
-    rm.add_argument("--r", type=int, required=True)
-    rm.add_argument("--m", type=int, required=True)
-    rm.add_argument("--check-square", action="store_true")
-    rm.set_defaults(handler=_cmd_construct_rm)
-
-    p_schur = sub.add_parser("schur", help="componentwise products and powers")
-    s_sub = p_schur.add_subparsers(dest="subcommand", required=True)
-    sp = s_sub.add_parser("product", parents=[common, src])
-    sp.add_argument("--with", dest="with_gen", required=True, help="second factor coefficients")
-    sp.set_defaults(handler=_cmd_schur, subcommand="product")
-    pw = s_sub.add_parser("power", parents=[common, src])
-    pw.add_argument("--max-t", type=int, default=None)
-    pw.set_defaults(handler=_cmd_schur, subcommand="power")
-    fp = s_sub.add_parser("fixed-point", parents=[common, src])
-    fp.set_defaults(handler=_cmd_schur, subcommand="fixed-point")
-
-    p_verify = sub.add_parser("verify", help="exhaustive theorem sweeps")
-    v_sub = p_verify.add_subparsers(dest="subcommand", required=True)
-    for name in ("up", "bound", "equality", "schur", "all"):
-        vp = v_sub.add_parser(name, parents=[common, src])
-        vp.add_argument("--exhaustive", action="store_true",
-                        help="force full enumeration past the feasibility cap")
-        vp.add_argument("--sample", type=int, default=None,
-                        help="check a seeded sample of this many generators")
-        vp.set_defaults(handler=_cmd_verify, subcommand=name)
-
-    p_search = sub.add_parser("search", help="randomized searches and sweeps")
-    e_sub = p_search.add_subparsers(dest="subcommand", required=True)
-    sg = e_sub.add_parser("golay", parents=[common, src])
-    sg.add_argument("--budget", type=int, required=True)
-    sg.set_defaults(handler=_cmd_search_golay)
-    sw = e_sub.add_parser("sweep", parents=[common, src])
-    sw.add_argument("--sample", type=int, default=None)
-    sw.set_defaults(handler=_cmd_search_sweep)
-
+    code, verify = "--code --group --p --gen", "--group --p --exhaustive"
+    commands = {
+        ("group", "build or inspect groups"): {
+            "make": (_cmd_group, "--group --out"),
+            "show": (_cmd_group, "--group --out"),
+        },
+        ("code", "ideals and their parameters"): {
+            "ideal": (_cmd_code, f"{code} --out"),
+            "params": (_cmd_code, f"{code} --guard"),
+            "dual": (_cmd_code, f"{code} --out"),
+            "induced": (_cmd_code, "--group --p --subgroup --out"),
+        },
+        ("construct", "named code families"): {
+            "rm": (_cmd_construct_rm, "--r --m --check-square --guard --out"),
+        },
+        ("schur", "componentwise products and powers"): {
+            "product": (_cmd_schur, f"{code} --with --out"),
+            "power": (_cmd_schur, f"{code} --max-t"),
+            "fixed-point": (_cmd_schur, code),
+        },
+        ("verify", "exhaustive theorem sweeps"): {
+            "up": (_cmd_verify, f"{verify} --sample --seed"),
+            "bound": (_cmd_verify, f"{verify} --guard"),
+            "equality": (_cmd_verify, f"{verify} --guard"),
+            "schur": (_cmd_verify, verify),
+            "all": (_cmd_verify, f"{verify} --guard"),
+        },
+        ("search", "randomized searches and sweeps"): {
+            "golay": (_cmd_search_golay, "--budget --seed --out"),
+            "sweep": (_cmd_search_sweep, "--group --p --sample --seed --guard"),
+        },
+    }
+    for (command, about), leaves in commands.items():
+        leaf_sub = sub.add_parser(command, help=about).add_subparsers(
+            dest="subcommand", required=True
+        )
+        for name, (handler, options) in leaves.items():
+            leaf = leaf_sub.add_parser(name)
+            for flag in ["--json", "--threads", *options.split()]:
+                alias = ["--field"] if flag == "--p" else []
+                leaf.add_argument(flag, *alias, **_OPTIONS[flag])
+            leaf.set_defaults(handler=handler)
     return parser
 
 
@@ -123,6 +124,8 @@ def _resolve_field(args) -> PrimeField:
 
 def _resolve_code(args, parser) -> GCode:
     if args.code:
+        if (args.group, args.p, args.gen) != (None, None, None):
+            parser.error("--code excludes --group, --p and --gen")
         return gc.load_code(args.code)
     _require(args, parser, "group", "p", "gen")
     return _ideal_from_text(_resolve_group(args), _resolve_field(args), args.gen, "--gen", parser)
@@ -255,20 +258,17 @@ def _cmd_verify(args, parser) -> int:
     _require(args, parser, "group", "p")
     group = _resolve_group(args)
     field = _resolve_field(args)
+    sample = getattr(args, "sample", None)  # only 'verify up' reads --sample and --seed
     total = field.p**group.order
-    if total > _FEASIBLE_ENUM and not args.exhaustive and args.sample is None:
+    if total > _FEASIBLE_ENUM and not args.exhaustive and sample is None:
         parser.error(
             f"{field.p}^{group.order} generators exceed the feasibility cap; "
             "pass --exhaustive or --sample N"
         )
-    kwargs: dict = {}
-    if args.subcommand == "up":
-        if args.sample is not None:
-            kwargs.update(sample=args.sample, sample_seed=args.seed)
-    elif args.sample is not None:
-        parser.error("--sample applies only to 'verify up' and 'search sweep'")
-    if args.subcommand in ("bound", "equality", "all"):  # drivers that scan codewords
-        kwargs.update(guard=args.guard)
+    # only the drivers that scan codewords read --guard
+    kwargs = {"guard": args.guard} if hasattr(args, "guard") else {}
+    if sample is not None:
+        kwargs.update(sample=sample, sample_seed=args.seed)
     report = _VERIFY_DRIVERS[args.subcommand](group, field, **kwargs)
     if args.json:
         print(_dump(report))

@@ -13,7 +13,6 @@ keeps the result.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +26,6 @@ from .linalg import RowBasis
 
 DEFAULT_GUARD = 1 << 26
 _BLOCK = 1 << 16  # span-table entries combined at once: bounds memory, stays in cache
-
-
-def enumeration_guard() -> int:
-    """Default codeword-enumeration guard; GCODELAB_GUARD overrides."""
-    env = os.environ.get("GCODELAB_GUARD")
-    return int(env) if env else DEFAULT_GUARD
 
 
 class GCode:
@@ -112,7 +105,7 @@ class GCode:
         checked on every call; the scan runs on the first one only."""
         if self.dim == 0:
             raise ValueError("the zero code has no minimum distance")
-        guard = enumeration_guard() if guard is None else guard
+        guard = DEFAULT_GUARD if guard is None else guard
         k, p = self.dim, self.field.p
         if p**k > guard:
             raise GuardExceeded(

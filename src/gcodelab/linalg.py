@@ -196,7 +196,9 @@ def rref_stack(stack, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
     Returns (reduced, ranks): reduced[b, :ranks[b]] are the rows `rref`
     gives for stack[b], row for row, and the remaining rows are zero.  The
     pivot choice is the one of `rref` (leftmost column, topmost row), made
-    for all B matrices at once, column by column.
+    for all B matrices at once, column by column.  The stack may have any
+    integer dtype that holds p (digits can come in as bytes); the result is
+    int64.
 
     Only the pivot column and the pivot rows are reduced mod p as the pass
     goes; every other entry changes by at most (p-1)^2 per column, so the
@@ -205,7 +207,7 @@ def rref_stack(stack, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
     This is the reference `f2_rref_stack` is tested against over F_2.
     """
     p = field.p
-    m = np.asarray(stack, dtype=np.int64)
+    m = np.asarray(stack)
     if m.ndim != 3:
         raise ValueError(f"expected a (B, r, c) stack, got ndim={m.ndim}")
     nmat, nrows, ncols = m.shape

@@ -302,8 +302,9 @@ def solv_check(code: GCode) -> dict:
 # c != 0 and every g in G, so an exhaustive sweep first maps every index to
 # the smallest index of its orbit (the orbit pass) and eliminates only those
 # orbit minima: one translate matrix per minimum, row j = f*g_j, reduced in
-# batches by one step, _reduce.  Over odd p the batch is an integer stack
-# reduced by linalg.rref_stack.  Over F_2 row j is the support mask of f*g_j,
+# batches by one step, _reduce.  Over odd p the batch is a stack of digits in
+# the narrowest dtype that holds one (bytes for p < 257), reduced by
+# linalg.rref_stack.  Over F_2 row j is the support mask of f*g_j,
 # so the batch is formed as packed words, digits @ galg.translate_weights (one
 # matmul per word, no (batch, n, n) stack), and reduced on the words by
 # linalg.f2_rref_stack; the bytes of the reduced words key the deduplication
@@ -408,11 +409,12 @@ def _reduce(
     """One chunk's elimination: the canonical RREF and rank of the translate
     matrix of each f.  Over F_2 row j is the support mask of f*g_j, so a copy
     of the mask words masks[w, f, j] is reduced by linalg.f2_rref_stack;
-    over odd p the digit stack goes to linalg.rref_stack."""
+    over odd p the digit stack, gathered at the narrowest dtype that holds a
+    digit, goes to linalg.rref_stack."""
     if field.p == 2:  # the words of pack_f2, (f, j, w), which it reduces in place
         words = masks.copy().transpose(1, 2, 0).view(np.uint64)
         return linalg.f2_rref_stack(words, len(translate))
-    return linalg.rref_stack(digits[:, translate], field)
+    return linalg.rref_stack(digits.astype(np.min_scalar_type(field.p - 1))[:, translate], field)
 
 
 def _eliminate(

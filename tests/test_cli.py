@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import time
@@ -164,15 +165,104 @@ def test_field_alias_flag(capsys):
     assert code == 0 and "equality=True" in lines[0]
 
 
-def test_guard_flag_and_env(capsys, monkeypatch):
+def test_guard_flag_and_env(capsys):
     argv = ["code", "params", "--group", "cyclic:8", "--p", "2",
             "--gen", "1,0,0,0,0,0,0,0", "--guard", "4"]
     assert cli.run(argv) == 2
-    monkeypatch.setenv("GCODELAB_GUARD", "4")
-    assert cli.run(argv[: -2]) == 2
-    monkeypatch.delenv("GCODELAB_GUARD")
     assert cli.run(argv[: -2]) == 0
     capsys.readouterr()
+
+
+# the options of each command besides --json and --threads: those its handler reads
+COMMAND_OPTIONS = {
+    "group make": "--group --out",
+    "group show": "--group --out",
+    "code ideal": "--code --group --p --gen --out",
+    "code params": "--code --group --p --gen --guard",
+    "code dual": "--code --group --p --gen --out",
+    "code induced": "--group --p --subgroup --out",
+    "construct rm": "--r --m --check-square --guard --out",
+    "schur product": "--code --group --p --gen --with --out",
+    "schur power": "--code --group --p --gen --max-t",
+    "schur fixed-point": "--code --group --p --gen",
+    "verify up": "--group --p --exhaustive --sample --seed",
+    "verify bound": "--group --p --exhaustive --guard",
+    "verify equality": "--group --p --exhaustive --guard",
+    "verify schur": "--group --p --exhaustive",
+    "verify all": "--group --p --exhaustive --guard",
+    "search golay": "--budget --seed --out",
+    "search sweep": "--group --p --sample --seed --guard",
+}
+
+
+def _leaf_options(parser, path=()):
+    """{command path: option strings} for every leaf command of the parser tree."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(path): {
+            flag for a in parser._actions if not isinstance(a, argparse._HelpAction)
+            for flag in a.option_strings
+        }}
+    return {
+        leaf: flags
+        for a in subs
+        for name, child in a.choices.items()
+        for leaf, flags in _leaf_options(child, path + (name,)).items()
+    }
+
+
+def test_each_command_accepts_exactly_the_options_it_reads():
+    options = _leaf_options(cli.build_parser())
+    assert all({"--json", "--threads"} <= flags for flags in options.values())
+    assert options == {
+        leaf: {"--json", "--threads", *flags.split(), *(["--field"] if "--p" in flags else [])}
+        for leaf, flags in COMMAND_OPTIONS.items()
+    }
+
+
+# each command with one option it never read; every one ran as if the option
+# were absent, except 'verify bound --sample', refused by a hand-written branch
+DROPPED = [
+    ("code params --group cyclic:4 --p 2 --gen 1,0,0,0", "--out x.json"),
+    ("schur power --group cyclic:2 --p 3 --gen 1,2", "--out x.json"),
+    ("schur fixed-point --group cyclic:4 --p 2 --gen 1,0,1,0", "--out x.json"),
+    ("verify up --group cyclic:4 --p 2", "--guard 4"),
+    ("verify schur --group cyclic:4 --p 2", "--guard 4"),
+    ("verify bound --group cyclic:4 --p 2", "--sample 3"),
+    ("construct rm --r 1 --m 3", "--group cyclic:8"),
+    ("search golay --budget 10", "--group cyclic:4"),
+    ("search golay --budget 10", "--guard 1"),
+    ("search sweep --group cyclic:4 --p 2", "--code x.json"),
+    ("code induced --group cyclic:4 --p 2 --subgroup 0,2", "--gen 1,0,0,0"),
+    ("group show --group cyclic:2", "--p 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, dropped", DROPPED,
+    ids=[" ".join(command.split()[:2] + dropped.split()[:1]) for command, dropped in DROPPED],
+)
+def test_an_option_the_command_does_not_read_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, command, dropped
+):
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(command.split() + dropped.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {dropped}" in captured.err
+    assert list(tmp_path.iterdir()) == []  # no --out file either
+
+
+def test_code_file_excludes_the_source_options(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert cli.run(["code", "ideal", "--group", "cyclic:4", "--p", "2",
+                    "--gen", "1,0,1,0", "--out", str(path)]) == 0
+    capsys.readouterr()
+    for extra in (["--p", "5", "--gen", "9"], ["--group", "cyclic:4"], ["--p", "2"]):
+        assert cli.run(["code", "params", "--code", str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: --code excludes --group, --p and --gen\n")
 
 
 def test_code_file_round_trip(tmp_path, capsys):

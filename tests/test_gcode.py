@@ -158,12 +158,10 @@ def test_min_distance_guard_and_zero():
 
 
 def test_min_distance_env_guard(monkeypatch):
-    monkeypatch.setenv("GCODELAB_GUARD", "4")
-    assert gc.enumeration_guard() == 4
+    # guard=None reads DEFAULT_GUARD; no other setting changes the default
+    monkeypatch.setattr(gc, "DEFAULT_GUARD", 4)
     with pytest.raises(GuardExceeded):
         gc.full_algebra(C4, F2).min_distance()
-    monkeypatch.delenv("GCODELAB_GUARD")
-    assert gc.enumeration_guard() == gc.DEFAULT_GUARD
 
 
 def test_min_scan_is_deterministic_across_blocks():
@@ -243,16 +241,12 @@ def test_min_scan_runs_once_per_code(monkeypatch):
     assert scanned == [code]
 
 
-def test_cached_scan_still_checks_the_guard(monkeypatch):
+def test_cached_scan_still_checks_the_guard():
     code = gc.full_algebra(make_cyclic(8), F2)
     assert code.min_distance() == 1  # scanned and kept
     for call in (code.min_distance, code.min_weight_codeword, code.params):
         with pytest.raises(GuardExceeded):
             call(guard=100)
-    monkeypatch.setenv("GCODELAB_GUARD", "100")
-    with pytest.raises(GuardExceeded):
-        code.min_distance()
-    monkeypatch.delenv("GCODELAB_GUARD")
     assert code.min_distance(guard=256) == 1
 
 

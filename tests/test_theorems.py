@@ -306,6 +306,18 @@ def test_sampled_uncertainty_ranks_on_its_own_masks(monkeypatch):
     assert rep["checked"] == 300 and rep["failures"] == []
 
 
+def test_sampled_uncertainty_over_f3_gathers_digits_as_bytes():
+    # S5/F3 at 300 samples peaked at 76 MB while the stack was gathered as int64
+    tracemalloc.start()
+    try:
+        rep = theorems.verify_uncertainty(make_symmetric(5), F3, sample=300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == {"group": "S5", "p": 3, "checked": 300, "failures": []}
+    assert peak < 60 * 2**20
+
+
 def test_sampled_uncertainty_at_order_128_keeps_no_translate_stack():
     # the (chunk, n, n) int64 stack of translate matrices alone was 134 MB
     tracemalloc.start()
