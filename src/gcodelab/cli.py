@@ -33,7 +33,8 @@ _OPTIONS = {
     "--json": dict(action="store_true", help="machine-readable output"),
     "--threads": dict(type=int, default=None,
                       help="a no-op that every command accepts: all run in one thread"),
-    "--seed": dict(type=int, default=0, help="randomness seed"),
+    "--seed": dict(type=int, default=None,
+                   help="randomness seed (default 0); a sweep reads it only with --sample"),
     "--guard": dict(type=int, default=None, help="codeword enumeration cap"),
     "--group": dict(help="builtin spec (cyclic:8, elemabelian:2,3, ...) or JSON path"),
     "--p": dict(type=int, help="prime field modulus (alias --field)"),
@@ -120,6 +121,15 @@ def _resolve_group(args) -> groups.Group:
 
 def _resolve_field(args) -> PrimeField:
     return PrimeField(args.p)
+
+
+def _sample_seed(args, parser) -> int:
+    """The seed of a sampled sweep: --seed, or 0 when absent.  A seed without
+    --sample would change nothing, so it is a usage error."""
+    seed = getattr(args, "seed", None)
+    if seed is not None and getattr(args, "sample", None) is None:
+        parser.error("--seed needs --sample")
+    return 0 if seed is None else seed
 
 
 def _resolve_code(args, parser) -> GCode:
@@ -259,6 +269,7 @@ def _cmd_verify(args, parser) -> int:
     group = _resolve_group(args)
     field = _resolve_field(args)
     sample = getattr(args, "sample", None)  # only 'verify up' reads --sample and --seed
+    seed = _sample_seed(args, parser)
     total = field.p**group.order
     if total > _FEASIBLE_ENUM and not args.exhaustive and sample is None:
         parser.error(
@@ -268,7 +279,7 @@ def _cmd_verify(args, parser) -> int:
     # only the drivers that scan codewords read --guard
     kwargs = {"guard": args.guard} if hasattr(args, "guard") else {}
     if sample is not None:
-        kwargs.update(sample=sample, sample_seed=args.seed)
+        kwargs.update(sample=sample, sample_seed=seed)
     report = _VERIFY_DRIVERS[args.subcommand](group, field, **kwargs)
     if args.json:
         print(_dump(report))
@@ -283,16 +294,17 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_search_golay(args, parser) -> int:
-    result = constructions.golay_search(args.budget, args.seed)
+    seed = 0 if args.seed is None else args.seed
+    result = constructions.golay_search(args.budget, seed)
     if result is None:
-        payload = {"found": False, "budget": args.budget, "seed": args.seed}
+        payload = {"found": False, "budget": args.budget, "seed": seed}
         print(_dump(payload) if args.json else f"no hit within {args.budget} trials")
         return 0
     rep = result.code.params()
     payload = {
         "found": True,
         "trial": result.trial,
-        "seed": args.seed,
+        "seed": seed,
         "generator": result.generator.to_text(),
         **rep.as_dict(),
         "self_dual": True,  # golay_search returns self-dual codes only
@@ -307,6 +319,7 @@ def _cmd_search_sweep(args, parser) -> int:
     _require(args, parser, "group", "p")
     group = _resolve_group(args)
     field = _resolve_field(args)
+    seed = _sample_seed(args, parser)
     total = field.p**group.order
     if total > _FEASIBLE_ENUM and args.sample is None:
         parser.error(
@@ -317,7 +330,7 @@ def _cmd_search_sweep(args, parser) -> int:
         group,
         field,
         sample=args.sample,
-        seed=args.seed,
+        seed=seed,
         guard=args.guard,
     )
     if args.json:

@@ -299,48 +299,45 @@ def solv_check(code: GCode) -> dict:
 # the index in base p, little-endian, are the coefficients of f.
 #
 # Orbit pruning.  c*f*g generates the same right ideal as f for every scalar
-# c != 0 and every g in G, so an exhaustive sweep first maps every index to
-# the smallest index of its orbit (the orbit pass) and eliminates only those
-# orbit minima: one translate matrix per minimum, row j = f*g_j, reduced in
-# batches by one step, _reduce.  Over odd p the batch is a stack of digits in
-# the narrowest dtype that holds one (bytes for p < 257), reduced by
-# linalg.rref_stack.  Over F_2 row j is the support mask of f*g_j,
-# so the batch is formed as packed words, digits @ galg.translate_weights (one
-# matmul per word, no (batch, n, n) stack), and reduced on the words by
-# linalg.f2_rref_stack; the bytes of the reduced words key the deduplication
-# (the RREF is unique) and only the rows of the ideals kept are unpacked.
-# The set of generators of an ideal is a union of orbits, so its smallest
-# generator -- the tag the sweeps report -- is an orbit minimum and the tags
-# are those of an unpruned sweep.  Sampled sweeps keep their meaning: they
-# eliminate the sampled generators themselves, with no orbit pass over all
-# p^n indices.
+# c != 0 and every g in G, so an exhaustive sweep eliminates only the orbit
+# minima (the orbit pass): one translate matrix per minimum, row j = f*g_j,
+# reduced in batches by _reduce -- over odd p as a stack of byte-sized digits
+# (for p < 257), over F_2 as packed words, digits @ galg.translate_weights,
+# with no (batch, n, n) stack.  The bytes of each reduced matrix key the
+# deduplication (the RREF is unique); over F_2 only the kept ideals' rows are
+# unpacked.  The generators of an ideal form a union of orbits, so its
+# smallest generator -- the tag the sweeps report -- is an orbit minimum and
+# the tags are those of an unpruned sweep.  Sampled sweeps eliminate the
+# sampled generators themselves, with no orbit pass over all p^n indices.
 #
-# Orbit minima by digit-block lookup.  The index of c*f*g is linear in the
-# digits of the index of f, so it is a sum over blocks of s digits (s the
-# largest with p^s <= _TABLE_SIZE) of a term that depends on that block's
-# value alone.  _orbit_tables holds, per block, that term for every block
-# value and every (translate, c) pair; the orbit pass splits each chunk of
-# indices into block values once, gathers and adds one table row per block
-# and takes the minimum over the pairs.  No digit matrix is formed.
+# Orbit minima by digit-block lookup.  An action is given by its table: g_j
+# moves coordinate x of f to table[x, j], so group.table is f -> f*g
+# ((f*g)[x*g] = f[x]) and its transpose is f -> g*f.  The index of c times f
+# moved by g_j is linear in the digits of f's index: a sum over blocks of s
+# digits (s the largest with p^s <= _TABLE_SIZE) of a term that depends on
+# that block's value alone.  _orbit_tables holds, per block, that term for
+# every block value and every (translate, c) pair; the orbit pass splits each
+# chunk of indices into block values once, adds one table row per block and
+# keeps the indices that no column maps lower.  No array over all p^n
+# indices is formed.
 #
-# Rank by representative.  dim fF[G] is constant on an orbit, so the
-# uncertainty sweep, which must still visit every f for its weight and greedy
-# escape lengths, reads the rank of f from its orbit minimum: the ranks of
-# the minima go into a dense table over all p^n indices (one byte each while
-# |G| < 256), and rank_of[i] = table[rep_of[i]] is one gather.
+# One generator per left orbit.  The uncertainty sweep's weight, rank, greedy
+# escape lengths and cover verdicts are constant on the orbits of
+# f -> c*g*f: supp(g*f*g_j) = g*supp(f*g_j), x -> g*x is a bijection of G,
+# and it maps fF[G] onto g*fF[G].  (Under f -> f*g the greedy lengths are
+# not, on a non-abelian group.)  So the exhaustive sweep checks the left orbit
+# minima alone: on abelian groups the orbit pass's minima and ranks; on the
+# others those of a left pass, each reading its rank at its right minimum,
+# since the rank is constant under both actions.  A failing minimum is
+# reported at every f of its left orbit; `checked` counts all p^n - 1.
 #
 # Greedy escape lengths work on bit-packed translate supports, one int64 word
-# per 64 columns: word w of the support mask of f * g_j.  Exhaustive sweeps
-# (|G| < 63, one word) read the masks from digit-block tables built like the
-# orbit pass's, with the term [digit != 0] * 2^(x*g_j) in place of
-# (c * digit mod p) * p^(x*g_j).  The weight of f is the popcount of its
-# identity column (in both modes), and no digit matrix is formed.  Sampled
-# sweeps, whose indices may pass int64, take the masks as (support
-# indicators) @ W[w] with W = galg.translate_weights(group): distinct supports
-# never collide inside one translate, so OR equals SUM and one integer matmul
-# per word serves.  They form each chunk's digits and masks once and rank f
-# through _reduce, whose F_2 elimination reads a copy of those same words; no
-# ideal list is built.
+# per 64 columns: word w of the support mask of f * g_j, formed per chunk as
+# (support indicators) @ W[w] with W = galg.translate_weights(group).
+# Distinct supports never collide inside one translate, so OR equals SUM and
+# one integer matmul per word serves.  The weight of f is the popcount of its
+# identity column.  Sampled sweeps, whose indices may pass int64, rank f
+# through _reduce, whose F_2 elimination reads a copy of the same words.
 # Along a greedy order, one cumulative OR gives the union of the translates
 # seen so far; g is kept exactly when the union changes at g in some word, and
 # the translates cover the group when the last union is the full mask.
@@ -349,10 +346,10 @@ def solv_check(code: GCode) -> dict:
 # uncertainty_check, which shares no code with the fast path: the rank of f's
 # own multiplication matrix (linalg.f2_rank on Python-int rows over F_2,
 # linalg.rank elsewhere), its weight and its natural-order greedy walk must
-# equal the rank lookup, the mask weight and the natural greedy length.
-# verify_all runs the orbit pass once and hands it to the uncertainty sweep
-# and the enumeration; the enumerated ideal list is shared by the bound,
-# equality and Schur sections.
+# equal the fast values at f's left orbit minimum (at f itself when sampled),
+# so the exhaustive audit also tests the invariance.  verify_all runs the
+# orbit pass once for the uncertainty sweep and the enumeration, whose ideal
+# list the bound, equality and Schur sections share.
 
 _SWEEP_CHUNK = 1 << 10
 _TABLE_SIZE = 1 << 10  # rows of a digit-block lookup table, at most (unless p > it)
@@ -360,15 +357,20 @@ _SHUFFLE_SEED = 0  # the second greedy order is this seed's permutation
 _CROSSCHECK_STRIDE = 997  # every f with index divisible by it is re-derived
 
 
-class SweepOrbits(NamedTuple):
-    """Orbit pass of an exhaustive sweep over F_p[G].
+_Tables = list[tuple[int, int, np.ndarray]]  # digit-block lookup tables, see _orbit_tables
 
-    rank_of[i] is dim fF[G] for the generator f with index i (0 for i = 0);
-    ideals lists each distinct nonzero cyclic ideal once, as (smallest
-    generator index, canonical RREF rows), in order of that index.
+
+class SweepOrbits(NamedTuple):
+    """Orbit pass of an exhaustive sweep over F_p[G], under f -> c*f*g.
+
+    minima lists the nonzero orbit minima in ascending order and ranks holds
+    dim fF[G] at each; ideals lists each distinct nonzero cyclic ideal once,
+    as (smallest generator index, canonical RREF rows), in order of that
+    index.
     """
 
-    rank_of: np.ndarray
+    minima: np.ndarray
+    ranks: np.ndarray
     ideals: list[tuple[int, np.ndarray]]
 
 
@@ -377,10 +379,6 @@ def _generator_digits(idx: np.ndarray, n: int, p: int) -> np.ndarray:
     object array (sampled sweeps past int64)."""
     digits = (idx[:, None] // p ** np.arange(n, dtype=idx.dtype)) % p
     return digits.astype(np.int64, copy=False)
-
-
-def _chunk_ranges(total: int, chunk: int = _SWEEP_CHUNK) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, total)) for lo in range(1, total, chunk)]
 
 
 def _sample_indices(n: int, p: int, sample: int, seed: int) -> np.ndarray:
@@ -442,15 +440,13 @@ def _eliminate(
     return ranks, ideals
 
 
-def _block_tables(
-    group: Group, p: int, values: Callable[[np.ndarray], list[np.ndarray]], base: int
-) -> list[tuple[int, int, np.ndarray]]:
-    """Digit-block lookup tables over the base-p digits of a generator index,
-    one per block of s digits (the last block may be shorter), as
-    (p^first digit, p^width, table).  values(digits) gives one array of
-    per-digit terms per column group; table[v, k * n + j] is the sum over the
-    block's digits x of values(digits of v)[k][x] * base^(x*g_j)."""
-    n = group.order
+def _orbit_tables(table: np.ndarray, p: int) -> _Tables:
+    """Digit-block lookup tables of the action whose table is given, one per
+    block of s digits (the last block may be shorter), as (p^first digit,
+    p^width, block table).  Block table[v, (c - 1) * n + j] is the block's
+    part of the index of c times f moved by g_j: the sum over its digits x
+    of (c * digit_x(v) mod p) * p^table[x, j]."""
+    n = len(table)
     s = 1
     while p ** (s + 1) <= _TABLE_SIZE:
         s += 1
@@ -458,56 +454,55 @@ def _block_tables(
     for first in range(0, n, s):
         width = min(s, n - first)
         digits = _generator_digits(np.arange(p**width, dtype=np.int64), width, p)
-        weights = base ** group.table[first : first + width].astype(np.int64)
-        table = np.hstack([value @ weights for value in values(digits)])
-        tables.append((p**first, p**width, table))
+        weights = p ** table[first : first + width].astype(np.int64)
+        block = np.hstack([(c * digits) % p @ weights for c in range(1, p)])
+        tables.append((p**first, p**width, block))
     return tables
 
 
-def _orbit_tables(group: Group, field: PrimeField) -> list[tuple[int, int, np.ndarray]]:
-    """The orbit pass's tables.  (f*g)[x*g] = f[x], so table[v, (c - 1) * n + j]
-    is the index of c*f*g_j restricted to the block: the sum over its digits
-    x of (c * digit_x(v) mod p) * p^(x*g_j)."""
-    p = field.p
-    return _block_tables(group, p, lambda d: [(c * d) % p for c in range(1, p)], p)
-
-
-def _mask_tables(group: Group, field: PrimeField) -> list[tuple[int, int, np.ndarray]]:
-    """The uncertainty sweep's tables: table[v, j] is the block's part of the
-    support mask of f*g_j, the sum over its digits x of
-    [digit_x(v) != 0] * 2^(x*g_j)."""
-    return _block_tables(group, field.p, lambda d: [(d != 0).astype(np.int64)], 2)
-
-
-def _lookup(idx: np.ndarray, tables: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
+def _lookup(idx: np.ndarray, tables: _Tables) -> np.ndarray:
     """Per index, the sum over blocks of the table row at its block value."""
     return sum(table[(idx // step) % size] for step, size, table in tables)
 
 
-def _orbit_minima(group: Group, field: PrimeField) -> np.ndarray:
-    """rep_of[i] is the smallest index of the orbit of generator index i
-    under f -> c*f*g (rep_of[0] = 0); see the comment block above."""
-    tables = _orbit_tables(group, field)
-    rep_of = np.zeros(field.p**group.order, dtype=np.int64)
-    for lo, hi in _chunk_ranges(len(rep_of)):
-        # the identity translate at c = 1 keeps idx itself among the candidates
-        rep_of[lo:hi] = _lookup(np.arange(lo, hi, dtype=np.int64), tables).min(axis=1)
-    return rep_of
+def _minimum_of(idx: np.ndarray, tables: _Tables) -> np.ndarray:
+    """The orbit minimum of each index, looked up one chunk at a time; the
+    identity translate at c = 1 keeps each index among its candidates."""
+    out = np.empty_like(idx)
+    for lo in range(0, len(idx), _SWEEP_CHUNK):
+        out[lo : lo + _SWEEP_CHUNK] = _lookup(idx[lo : lo + _SWEEP_CHUNK], tables).min(axis=1)
+    return out
+
+
+def _orbit_minima(table: np.ndarray, p: int) -> np.ndarray:
+    """The nonzero orbit minima of the action whose table is given, in
+    ascending order; see the comment block above."""
+    tables, total = _orbit_tables(table, p), p ** len(table)
+    minima = []
+    for lo in range(1, total, _SWEEP_CHUNK):
+        idx = np.arange(lo, min(lo + _SWEEP_CHUNK, total), dtype=np.int64)
+        minima.append(idx[_minimum_of(idx, tables) == idx])
+    return np.concatenate(minima)
 
 
 def sweep_orbits(group: Group, field: PrimeField) -> SweepOrbits:
-    """Map every generator index to its orbit minimum under f -> c*f*g and
-    eliminate the minima; see the comment block above."""
-    rep_of = _orbit_minima(group, field)
-    total = len(rep_of)
-    reps = np.flatnonzero(rep_of == np.arange(total, dtype=np.int64))[1:]
-    ranks, ideals = _eliminate(reps, group, field)
-    rank_at = np.zeros(total, dtype=np.min_scalar_type(group.order))
-    rank_at[reps] = ranks
-    rank_of = rep_of  # overwritten in place, chunk by chunk, to bound memory
-    for lo, hi in _chunk_ranges(total):
-        rank_of[lo:hi] = rank_at[rep_of[lo:hi]]
-    return SweepOrbits(rank_of, ideals)
+    """The orbit minima of f -> c*f*g, their ranks and the distinct ideals
+    they generate; see the comment block above."""
+    minima = _orbit_minima(group.table, field.p)
+    return SweepOrbits(minima, *_eliminate(minima, group, field))
+
+
+def _left_orbits(
+    group: Group, p: int, orbits: SweepOrbits
+) -> tuple[np.ndarray, np.ndarray, _Tables]:
+    """The orbits of f -> c*g*f that the uncertainty sweep checks: their
+    minima, the rank at each minimum and the action's lookup tables."""
+    tables = _orbit_tables(group.table.T, p)
+    if np.array_equal(group.table, group.table.T):  # the two actions agree
+        return orbits.minima, orbits.ranks, tables
+    minima = _orbit_minima(group.table.T, p)
+    right = _minimum_of(minima, _orbit_tables(group.table, p))
+    return minima, orbits.ranks[np.searchsorted(orbits.minima, right)], tables
 
 
 def _greedy_lengths(
@@ -532,82 +527,83 @@ def verify_uncertainty(
     """Sweep all nonzero f: support size times ideal dimension reaches |G|,
     and both greedy escape lengths stay below the rank.
 
-    Exhaustive mode reads the rank of f from its orbit minimum (`orbits`,
-    computed here when not given) and its translate masks from digit-block
-    tables; sampled mode forms the masks of the sampled f through
-    galg.translate_weights and ranks each f by eliminating its translate
-    matrix (over F_2, those mask words).  Every _CROSSCHECK_STRIDE-th f is
-    re-verified through the public uncertainty_check path, whose rank,
-    weight and natural-order greedy length must match the fast path's.
+    Exhaustive mode checks one f per orbit of f -> c*g*f, ranked from the
+    orbit pass (`orbits`, computed here when not given); sampled mode ranks
+    each sampled f by eliminating its translate matrix.  Every
+    _CROSSCHECK_STRIDE-th f is re-verified through uncertainty_check; see
+    the comment block above.
     """
     n, p = group.order, field.p
     W = translate_weights(group)
     full = np.bitwise_or.reduce(W, axis=(1, 2))
-    natural = np.arange(n)
     shuffled = random.Random(_SHUFFLE_SEED).sample(range(n), n)
+    translate = _translate_index(group)
     if sample is None:
         if orbits is None:
             orbits = sweep_orbits(group, field)
-        tables = _mask_tables(group, field)
-
-        def batches():
-            for lo, hi in _chunk_ranges(p**n):
-                idx = np.arange(lo, hi, dtype=np.int64)  # |G| < 63: one mask word
-                yield idx, orbits.rank_of[lo:hi], _lookup(idx, tables)[None]
-
+        picks, ranks, tables = _left_orbits(group, p, orbits)
+        audit = np.arange(_CROSSCHECK_STRIDE, p**n, _CROSSCHECK_STRIDE, dtype=np.int64)
+        at = np.searchsorted(picks, _minimum_of(audit, tables))  # f's minimum in picks
+        order = np.argsort(at, kind="stable")
+        audit, at = audit[order], at[order]
+        checked = p**n - 1
     else:
-        picks = _sample_indices(n, p, sample, sample_seed)
-        translate = _translate_index(group)
-
-        def batches():
-            for idx in np.split(picks, range(_SWEEP_CHUNK, len(picks), _SWEEP_CHUNK)):
-                digits = _generator_digits(idx, n, p)
-                masks = (digits != 0).astype(np.int64) @ W
-                yield idx, _reduce(digits, masks, translate, field)[1], masks
-
-    checked = 0
-    failures: list[dict] = []
-    for idx, ranks, masks in batches():
+        picks, ranks, tables = _sample_indices(n, p, sample, sample_seed), None, None
+        at = np.flatnonzero(picks % _CROSSCHECK_STRIDE == 0)
+        audit, checked = picks[at], len(picks)
+    failures: list[tuple[int, str]] = []
+    for lo in range(0, len(picks), _SWEEP_CHUNK):
+        idx = picks[lo : lo + _SWEEP_CHUNK]
+        digits = _generator_digits(idx, n, p)
+        masks = (digits != 0).astype(np.int64) @ W
+        if ranks is None:
+            rk = _reduce(digits, masks, translate, field)[1]
+        else:
+            rk = ranks[lo : lo + _SWEEP_CHUNK]
         # column 0, the identity translate, is f's own mask; bit 63 of a word
         # is the int64 sign bit, so the words are counted as uint64
         weights = np.bitwise_count(masks[:, :, 0].view(np.uint64)).sum(axis=0, dtype=np.int64)
-        t_nat, cov_nat = _greedy_lengths(masks, natural, full)
+        t_nat, cov_nat = _greedy_lengths(masks, np.arange(n), full)
         t_shuf, cov_shuf = _greedy_lengths(masks, shuffled, full)
-        suspect = (
-            ~(cov_nat & cov_shuf)
-            | (ranks < t_nat)
-            | (ranks < t_shuf)
-            | (weights * ranks < n)
-            | (idx % _CROSSCHECK_STRIDE == 0)
-        )
-        for j in np.flatnonzero(suspect).tolist():
-            w, rho = int(weights[j]), int(ranks[j])
+        covers = cov_nat & cov_shuf
+        bad = ~covers | (rk < t_nat) | (rk < t_shuf) | (weights * rk < n)
+        for j in np.flatnonzero(bad).tolist():
+            if not covers[j]:
+                reason = "mask pass failed to cover the group"
+            elif rk[j] < t_nat[j] or rk[j] < t_shuf[j]:
+                reason = f"rank {rk[j]} below greedy lengths {t_nat[j]}/{t_shuf[j]}"
+            else:
+                reason = f"product {weights[j] * rk[j]} below {n}"
+            orbit = [idx[j]] if tables is None else np.unique(_lookup(idx[j : j + 1], tables))
+            failures += [(f, reason) for f in orbit]
+        for k in range(*np.searchsorted(at, [lo, lo + len(idx)])):
+            j = at[k] - lo
+            if bad[j]:  # reported above, at every f of its orbit
+                continue
+            w, rho = int(weights[j]), int(rk[j])
             try:
-                if not (cov_nat[j] and cov_shuf[j]):
-                    raise VerificationError("mask pass failed to cover the group")
-                if rho < t_nat[j] or rho < t_shuf[j]:
+                ref = uncertainty_check(
+                    AlgElem(group, field, _generator_digits(audit[k : k + 1], n, p)[0])
+                )
+                if (ref.weight, ref.rank) != (w, rho):
                     raise VerificationError(
-                        f"rank {rho} below greedy lengths {t_nat[j]}/{t_shuf[j]}"
+                        f"fast path disagrees with matrix path: "
+                        f"{(w, rho)} vs {(ref.weight, ref.rank)}"
                     )
-                if w * rho < n:
-                    raise VerificationError(f"product {w * rho} below {n}")
-                if idx[j] % _CROSSCHECK_STRIDE == 0:
-                    digits = _generator_digits(idx[j : j + 1], n, p)[0]
-                    ref = uncertainty_check(AlgElem(group, field, digits))
-                    if (ref.weight, ref.rank) != (w, rho):
-                        raise VerificationError(
-                            f"fast path disagrees with matrix path: "
-                            f"{(w, rho)} vs {(ref.weight, ref.rank)}"
-                        )
-                    if ref.cover_rank != t_nat[j]:
-                        raise VerificationError(
-                            f"mask greedy length {t_nat[j]} disagrees with the "
-                            f"greedy walk {ref.cover_rank}"
-                        )
+                if ref.cover_rank != t_nat[j]:
+                    raise VerificationError(
+                        f"mask greedy length {t_nat[j]} disagrees with the "
+                        f"greedy walk {ref.cover_rank}"
+                    )
             except VerificationError as exc:
-                failures.append({"f": int(idx[j]), "reason": str(exc)})
-        checked += len(idx)
-    return {"group": group.name, "p": p, "checked": checked, "failures": failures}
+                failures.append((audit[k], str(exc)))
+    failures.sort(key=lambda rec: rec[0])
+    return {
+        "group": group.name,
+        "p": p,
+        "checked": checked,
+        "failures": [{"f": int(f), "reason": reason} for f, reason in failures],
+    }
 
 
 def enumerate_cyclic_ideals(

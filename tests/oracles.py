@@ -221,7 +221,8 @@ def orbit_minima_matmul(table, inverse, p):
     """Smallest index in the orbit of every generator index under
     f -> c*f*g, by the digit-gather and matmul loop the orbit pass used to
     run: digits[:, row] are the coefficients of f*g, and (c * moved % p) @
-    place is the index of c*f*g."""
+    place is the index of c*f*g.  Given the transposed table, the orbits
+    are those of f -> c*g*f."""
     table, inverse = np.asarray(table), np.asarray(inverse)
     n = len(table)
     translate = table[:, inverse].T
@@ -239,7 +240,8 @@ def orbit_minima_matmul(table, inverse, p):
 def orbit_minima_scan(table, p):
     """Smallest index in the orbit of every generator index under
     f -> c*f*g, forming each c*f*g through the Cayley table:
-    (f*g)[x*g] = f[x]."""
+    (f*g)[x*g] = f[x].  Given the transposed table, the orbits are those of
+    f -> c*g*f."""
     n = len(table)
     out = []
     for i in range(p**n):
@@ -253,6 +255,21 @@ def orbit_minima_scan(table, p):
                 best = min(best, sum((c * m % p) * p**x for x, m in enumerate(moved)))
         out.append(best)
     return out
+
+
+def left_orbit(f):
+    """Sorted generator indices of the orbit of an AlgElem f under
+    f -> c*g*f, each product formed by AlgElem multiplication with the basis
+    element g."""
+    from gcodelab.galg import AlgElem
+
+    group, field, p = f.group, f.field, f.field.p
+    out = set()
+    for g in range(group.order):
+        gf = AlgElem.basis_elem(group, field, g) * f
+        for c in range(1, p):
+            out.add(sum(int(x) * p**i for i, x in enumerate(gf.scale(c).coeffs)))
+    return sorted(out)
 
 
 def translate_support_words(f):

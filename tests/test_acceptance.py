@@ -257,7 +257,7 @@ def test_criterion_9_thread_determinism(capsys):
     commands = [
         ["verify", "all", "--group", "cyclic:8", "--p", "2", "--json"],
         ["search", "sweep", "--group", "elemabelian:2,2", "--p", "2",
-         "--seed", "3", "--json"],
+         "--sample", "12", "--seed", "3", "--json"],
         ["search", "golay", "--budget", "20000", "--seed", "77", "--json"],
     ]
     for base in commands:

@@ -331,6 +331,31 @@ def test_search_golay_zero_budget(capsys):
     assert json.loads(lines[0]) == {"budget": 0, "found": False, "seed": 1}
 
 
+@pytest.mark.parametrize("command", ["verify up", "search sweep"])
+def test_seed_without_sample_is_a_usage_error(command, capsys):
+    # the seed drives only the sample: an exhaustive sweep printed the same
+    # bytes with and without it
+    base = command.split() + ["--group", "cyclic:4", "--p", "2", "--json"]
+    for seed in ("5", "0"):
+        assert cli.run(base + ["--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith("error: --seed needs --sample\n")
+    code, lines = run_lines(capsys, base)
+    assert code == 0 and lines
+    assert run_lines(capsys, base + ["--sample", "12", "--seed", "5"])[0] == 0
+    # the sample's seed defaults to 0
+    unseeded = run_lines(capsys, base + ["--sample", "12"])
+    assert unseeded[0] == 0
+    assert run_lines(capsys, base + ["--sample", "12", "--seed", "0"]) == unseeded
+
+
+def test_search_golay_seed_defaults_to_0(capsys):
+    base = ["search", "golay", "--budget", "20000", "--json"]
+    code, lines = run_lines(capsys, base)
+    assert code == 0 and json.loads(lines[0])["seed"] == 0
+    assert run_lines(capsys, base + ["--seed", "0"]) == (code, lines)
+
+
 def test_search_sweep_rows_and_thread_determinism(capsys):
     base = ["search", "sweep", "--group", "cyclic:4", "--p", "2", "--json"]
     code, rows1 = run_lines(capsys, base + ["--threads", "1"])

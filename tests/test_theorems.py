@@ -392,11 +392,15 @@ _ORBIT_CASES = (
 
 @pytest.mark.parametrize("spec, p", _ORBIT_CASES)
 def test_orbit_minima_match_the_oracles(spec, p):
+    # group.table is the action f -> c*f*g, its transpose f -> c*g*f
     group = from_spec(spec)
-    got = theorems._orbit_minima(group, PrimeField(p))
-    assert got.tolist() == oracles.orbit_minima_matmul(group.table, group.inverse, p).tolist()
-    if p**group.order <= 1 << 12:
-        assert got.tolist() == oracles.orbit_minima_scan(group.table.tolist(), p)
+    for table in (group.table, group.table.T):
+        got = theorems._orbit_minima(table, p).tolist()
+        rep_of = oracles.orbit_minima_matmul(table, group.inverse, p)
+        assert got == np.flatnonzero(rep_of == np.arange(p**group.order))[1:].tolist()
+        if p**group.order <= 1 << 12:
+            rep_of = oracles.orbit_minima_scan(table.tolist(), p)
+            assert got == [i for i, rep in enumerate(rep_of) if rep == i][1:]
 
 
 @pytest.mark.parametrize(
@@ -408,7 +412,7 @@ def test_orbit_minima_match_the_oracles(spec, p):
 def test_orbit_tables_split_the_digits_into_blocks(n, p, blocks):
     # blocks of the largest digit count s with p^s <= _TABLE_SIZE, as
     # (p^first digit, p^width); one column per (c, translate) pair
-    tables = theorems._orbit_tables(make_cyclic(n), PrimeField(p))
+    tables = theorems._orbit_tables(make_cyclic(n).table, p)
     assert [(step, size) for step, size, _ in tables] == blocks
     for _, size, table in tables:
         assert table.shape == (size, n * (p - 1))
@@ -418,33 +422,36 @@ def test_orbit_tables_split_the_digits_into_blocks(n, p, blocks):
 def test_orbit_table_columns_are_the_indices_of_c_f_g(spec, p):
     # the orbit minimum is the same for any relabelling of the translates,
     # so the columns are checked one by one: column (c - 1) * n + j of the
-    # summed block terms is the index of c * f * g_j
+    # summed block terms is the index of c * f * g_j under group.table and
+    # of c * g_j * f under its transpose
     group, field = from_spec(spec), PrimeField(p)
     n = group.order
     idx = np.random.default_rng(0).integers(0, p**n, size=200)
-    tables = theorems._orbit_tables(group, field)
-    got = sum(table[(idx // step) % size] for step, size, table in tables)
     place = p ** np.arange(n)
-    for i, row in zip(idx.tolist(), got):
-        f = AlgElem(group, field, (i // place) % p)
-        want = [
-            int(f.right_translate(g).scale(c).coeffs @ place)
-            for c in range(1, p)
-            for g in range(n)
-        ]
-        assert row.tolist() == want
+    actions = [
+        (group.table, lambda f, g: f.right_translate(g)),
+        (group.table.T, lambda f, g: AlgElem.basis_elem(group, field, g) * f),
+    ]
+    for table, act in actions:
+        tables = theorems._orbit_tables(table, p)
+        got = sum(block[(idx // step) % size] for step, size, block in tables)
+        for i, row in zip(idx.tolist(), got):
+            f = AlgElem(group, field, (i // place) % p)
+            want = [int(act(f, g).scale(c).coeffs @ place) for c in range(1, p) for g in range(n)]
+            assert row.tolist() == want
 
 
 def test_sweep_orbits_ranks_match_matrix_rank():
-    # off F_2 too: the dense rank table is filled from the F_p elimination
+    # off F_2 too: the ranks come from the F_p elimination there
     for group, field in ((S3, F2), (make_cyclic(10), F2), (make_cyclic(6), F3), (S3, F3)):
         n, p = group.order, field.p
         orbits = theorems.sweep_orbits(group, field)
-        assert orbits.rank_of[0] == 0 and len(orbits.rank_of) == p**n
-        for fidx in range(1, p**n):
+        assert orbits.minima.tolist() == theorems._orbit_minima(group.table, p).tolist()
+        assert len(orbits.ranks) == len(orbits.minima)
+        for fidx, got in zip(orbits.minima.tolist(), orbits.ranks.tolist()):
             f = AlgElem(group, field, [(fidx // p**i) % p for i in range(n)])
             rank = linalg.rank(f.multiplication_matrix(), field)
-            assert orbits.rank_of[fidx] == rank, (group.name, p, fidx)
+            assert got == rank, (group.name, p, fidx)
 
 
 def test_sampled_enumeration_on_two_word_rows_matches_per_generator_rref():
@@ -462,47 +469,91 @@ def test_sampled_enumeration_on_two_word_rows_matches_per_generator_rref():
     assert all(code.basis == expected[code.basis.key()][1] for _, code in found)
 
 
-def test_uncertainty_audit_catches_a_wrong_rank_lookup(monkeypatch):
+def _corrupt_one_rank(monkeypatch, raise_rank):
+    """Make _left_orbits report a wrong rank at the minimum a quarter of the
+    way along: one more, or 0; the returned dict receives its index as "f"."""
+    left_orbits = theorems._left_orbits
+    corrupted = {}
+
+    def wrapped(*args):
+        minima, ranks, tables = left_orbits(*args)
+        k = len(minima) // 4
+        ranks = ranks.copy()
+        ranks[k] = ranks[k] + 1 if raise_rank else 0
+        corrupted["f"] = int(minima[k])
+        return minima, ranks, tables
+
+    monkeypatch.setattr(theorems, "_left_orbits", wrapped)
+    return corrupted
+
+
+@pytest.mark.parametrize("group, field", [(C8, F2), (S3, F3)], ids=["C8-F2", "S3-F3"])
+@pytest.mark.parametrize(
+    "raise_rank, reason",
+    [(True, "fast path disagrees with matrix path"), (False, "rank 0 below greedy lengths")],
+    ids=["audit", "bound"],
+)
+def test_uncertainty_sweep_reports_a_wrong_rank_at_its_whole_orbit(
+    group, field, raise_rank, reason, monkeypatch
+):
+    # a rank one too high passes the bounds and is caught by the audit at
+    # each f; a rank of 0 fails the bounds at the minimum, reported for its orbit
     monkeypatch.setattr(theorems, "_CROSSCHECK_STRIDE", 1)
-    group = make_cyclic(4)
-    orbits = theorems.sweep_orbits(group, F2)
-    orbits.rank_of[5] += 1  # a corrupted orbit lookup
-    rep = theorems.verify_uncertainty(group, F2, orbits=orbits)
-    assert [f["f"] for f in rep["failures"]] == [5]
-    assert "fast path disagrees with matrix path" in rep["failures"][0]["reason"]
-    clean = theorems.verify_uncertainty(group, F2)
-    assert clean["failures"] == [] and clean["checked"] == 15
+    corrupted = _corrupt_one_rank(monkeypatch, raise_rank)
+    n, p = group.order, field.p
+    rep = theorems.verify_uncertainty(group, field)
+    f = AlgElem(group, field, [(corrupted["f"] // p**i) % p for i in range(n)])
+    orbit = oracles.left_orbit(f)
+    assert len(orbit) > 1 and min(orbit) == corrupted["f"]
+    place = p ** np.arange(n)
+    right = {
+        int(f.right_translate(g).scale(c).coeffs @ place) for g in range(n) for c in range(1, p)
+    }
+    assert (sorted(right) != orbit) == (group is S3)  # on S3 the left orbit differs
+    assert [rec["f"] for rec in rep["failures"]] == orbit
+    assert all(rec["reason"].startswith(reason) for rec in rep["failures"])
+    assert rep["checked"] == p**n - 1
 
 
-def test_uncertainty_audit_catches_a_wrong_rank_lookup_off_f2(monkeypatch):
+def test_uncertainty_audit_catches_right_orbit_minima_on_s3(monkeypatch):
+    # greedy lengths are constant on left orbits only: checking the minima of
+    # f -> c*f*g instead leaves audited f whose natural greedy walk differs
     monkeypatch.setattr(theorems, "_CROSSCHECK_STRIDE", 1)
-    orbits = theorems.sweep_orbits(S3, F3)
-    orbits.rank_of[5] += 1  # a corrupted orbit lookup
-    rep = theorems.verify_uncertainty(S3, F3, orbits=orbits)
-    assert [f["f"] for f in rep["failures"]] == [5]
-    assert "fast path disagrees with matrix path" in rep["failures"][0]["reason"]
-    clean = theorems.verify_uncertainty(S3, F3)
-    assert clean["failures"] == [] and clean["checked"] == 3**6 - 1
+
+    def right_orbits(group, p, orbits):
+        return orbits.minima, orbits.ranks, theorems._orbit_tables(group.table, p)
+
+    monkeypatch.setattr(theorems, "_left_orbits", right_orbits)
+    rep = theorems.verify_uncertainty(S3, F3)
+    assert len(rep["failures"]) == 96
+    assert all(rec["reason"].startswith("mask greedy length") for rec in rep["failures"])
 
 
-def test_uncertainty_audit_catches_a_flipped_mask_entry(monkeypatch):
-    # C8/F2 has one digit block, so table row v serves index v alone
+@pytest.mark.parametrize(
+    "spec, p",
+    [("dihedral:4", 2), ("quaternion8", 2), ("symmetric:3", 2), ("symmetric:3", 3),
+     ("dihedral:5", 2), ("dihedral:6", 2), ("cyclic:4xcyclic:2", 2), ("cyclic:7", 3)],
+)
+def test_exhaustive_uncertainty_audit_passes_at_every_f(spec, p, monkeypatch):
+    # each f is compared with the fast values at its left orbit minimum
     monkeypatch.setattr(theorems, "_CROSSCHECK_STRIDE", 1)
-    mask_tables = theorems._mask_tables
+    group = from_spec(spec)
+    rep = theorems.verify_uncertainty(group, PrimeField(p))
+    assert rep["failures"] == [] and rep["checked"] == p**group.order - 1
 
-    def flipped(group, field):
-        tables = mask_tables(group, field)
-        (_, _, table), = tables
-        # f = 1 + g_1: the translate by g_1 gains g_3, so the natural greedy
-        # walk skips g_2; coverage, weight and the rank bounds all still hold
-        table[3, 1] ^= 1 << 3
-        return tables
 
-    monkeypatch.setattr(theorems, "_mask_tables", flipped)
-    rep = theorems.verify_uncertainty(C8, F2)
-    assert rep["failures"] == [
-        {"f": 3, "reason": "mask greedy length 6 disagrees with the greedy walk 7"}
-    ]
+@pytest.mark.parametrize("spec", ["cyclic:20", "dihedral:10"])
+def test_exhaustive_uncertainty_holds_no_array_over_all_indices(spec):
+    # 17.0 MB while the sweep kept a rank and a minimum for each of the 2^20 indices
+    group = from_spec(spec)
+    tracemalloc.start()
+    try:
+        rep = theorems.verify_uncertainty(group, F2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["checked"] == 2**20 - 1 and rep["failures"] == []
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -510,15 +561,16 @@ def test_uncertainty_audit_catches_a_flipped_mask_entry(monkeypatch):
     [("cyclic:8", 2), ("dihedral:4", 2), ("symmetric:3", 3), ("cyclic:6", 3), ("cyclic:5", 5)],
 )
 def test_table_masks_match_the_translate_supports(spec, p):
+    # the sweeps' masks: support indicators @ translate_weights, at every index
     group, field = from_spec(spec), PrimeField(p)
     n = group.order
-    idx = np.arange(p**n, dtype=np.int64)
-    masks = theorems._lookup(idx, theorems._mask_tables(group, field))
-    assert masks.shape == (p**n, n)
-    for i in idx.tolist():
-        f = AlgElem(group, field, [(i // p**x) % p for x in range(n)])
-        assert masks[i].tolist() == [w for (w,) in oracles.translate_support_words(f)]
-        assert int(np.bitwise_count(masks[i, 0])) == f.weight()
+    digits = theorems._generator_digits(np.arange(p**n, dtype=np.int64), n, p)
+    masks = (digits != 0).astype(np.int64) @ translate_weights(group)
+    assert masks.shape == (1, p**n, n)
+    for row, words in zip(digits, masks[0].tolist()):
+        f = AlgElem(group, field, row)
+        assert words == [w for (w,) in oracles.translate_support_words(f)]
+        assert int(np.bitwise_count(words[0])) == f.weight()
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 128])
