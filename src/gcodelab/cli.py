@@ -270,6 +270,8 @@ def _cmd_verify(args, parser) -> int:
     field = _resolve_field(args)
     sample = getattr(args, "sample", None)  # only 'verify up' reads --sample and --seed
     seed = _sample_seed(args, parser)
+    if args.exhaustive and sample is not None:
+        parser.error("--exhaustive and --sample exclude each other")
     total = field.p**group.order
     if total > _FEASIBLE_ENUM and not args.exhaustive and sample is None:
         parser.error(

@@ -78,13 +78,16 @@ def schur_power_chain(code: GCode, max_t: int | None = None) -> SchurChainReport
     Over F_2, c * c = c entrywise, so every power lies inside the next one:
     the code sits in its square, the 2-power subsequence ascends, and the
     chain ends in a fixed code containing the start.  Each step is checked,
-    and the fixed code must be induced from a subgroup.  If max_t runs out
-    first, a partial report is returned with complete=False.
+    and the fixed code must be induced from a subgroup.  If max_t, the most
+    codes the report may hold (at least 1), runs out first, a partial report
+    is returned with complete=False.
     """
     if code.is_zero():
         raise ValueError("power chain needs a nonzero code")
     if max_t is None:
         max_t = 2 * code.length + 4
+    if max_t < 1:
+        raise ValueError(f"max_t must be at least 1, not {max_t}")
     codes = [code]
     seen = {code.key(): 1}
     dims = [code.dim]

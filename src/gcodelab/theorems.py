@@ -310,33 +310,35 @@ def solv_check(code: GCode) -> dict:
 # the tags are those of an unpruned sweep.  Sampled sweeps eliminate the
 # sampled generators themselves, with no orbit pass over all p^n indices.
 #
-# Orbit minima by digit-block lookup.  An action is given by its table: g_j
-# moves coordinate x of f to table[x, j], so group.table is f -> f*g
-# ((f*g)[x*g] = f[x]) and its transpose is f -> g*f.  The index of c times f
-# moved by g_j is linear in the digits of f's index: a sum over blocks of s
-# digits (s the largest with p^s <= _TABLE_SIZE) of a term that depends on
-# that block's value alone.  _orbit_tables holds, per block, that term for
-# every block value and every (translate, c) pair; the orbit pass splits each
-# chunk of indices into block values once, adds one table row per block and
-# keeps the indices that no column maps lower.  No array over all p^n
-# indices is formed.
+# Orbit minima by digit-block lookup.  A table gives n maps of coordinates:
+# map j moves coordinate x of f to table[x, j], so group.table gives
+# f -> f*g_j ((f*g)[x*g] = f[x]).  The index of c times f moved by map j is
+# linear in the digits of f's index: a sum over blocks of s digits (s the
+# largest with p^s <= _TABLE_SIZE) of a term that depends on that block's
+# value alone.  _orbit_tables holds, per block, that term for every block
+# value and every (map, c) pair; the orbit pass splits each chunk of indices
+# into block values once, adds one table row per block and keeps the indices
+# that no column maps lower.  No array over all p^n indices is formed.
 #
-# One generator per left orbit.  The uncertainty sweep's weight, rank, greedy
-# escape lengths and cover verdicts are constant on the orbits of
-# f -> c*g*f: supp(g*f*g_j) = g*supp(f*g_j), x -> g*x is a bijection of G,
-# and it maps fF[G] onto g*fF[G].  (Under f -> f*g the greedy lengths are
-# not, on a non-abelian group.)  So the exhaustive sweep checks the left orbit
-# minima alone: on abelian groups the orbit pass's minima and ranks; on the
-# others those of a left pass, each reading its rank at its right minimum,
-# since the rank is constant under both actions.  A failing minimum is
-# reported at every f of its left orbit; `checked` counts all p^n - 1.
+# One orbit pass, read through the involution.  The uncertainty sweep's
+# weight, rank, greedy escape lengths and cover verdicts are constant on the
+# orbits of f -> c*g*f: supp(g*f*g_j) = g*supp(f*g_j), x -> g*x is a bijection
+# of G, and it maps fF[G] onto g*fF[G].  (Under f -> f*g the greedy lengths
+# are not, on a non-abelian group.)  The anti-automorphism f* = sum f(x) x^-1
+# maps them onto the orbit pass's orbits, (c*g*f)* = c*f* *g^-1, so the m* of
+# its minima m meet each once; and dim m*F[G] = dim F[G]m = dim mF[G], as
+# F[G] is a symmetric algebra.  So the exhaustive sweep checks m* at m's
+# rank, its masks formed from m's digits with translate_weights' rows
+# permuted by the inverse.  A failing m* is reported at every f of its
+# orbit, the indices of (c*m*g_j)*, read off the table inverse[table];
+# `checked` counts all p^n - 1.
 #
 # Greedy escape lengths work on bit-packed translate supports, one int64 word
 # per 64 columns: word w of the support mask of f * g_j, formed per chunk as
 # (support indicators) @ W[w] with W = galg.translate_weights(group).
 # Distinct supports never collide inside one translate, so OR equals SUM and
 # one integer matmul per word serves.  The weight of f is the popcount of its
-# identity column.  Sampled sweeps, whose indices may pass int64, rank f
+# identity column.  A sweep not given the orbit pass's ranks ranks each chunk
 # through _reduce, whose F_2 elimination reads a copy of the same words.
 # Along a greedy order, one cumulative OR gives the union of the translates
 # seen so far; g is kept exactly when the union changes at g in some word, and
@@ -346,10 +348,11 @@ def solv_check(code: GCode) -> dict:
 # uncertainty_check, which shares no code with the fast path: the rank of f's
 # own multiplication matrix (linalg.f2_rank on Python-int rows over F_2,
 # linalg.rank elsewhere), its weight and its natural-order greedy walk must
-# equal the fast values at f's left orbit minimum (at f itself when sampled),
-# so the exhaustive audit also tests the invariance.  verify_all runs the
-# orbit pass once for the uncertainty sweep and the enumeration, whose ideal
-# list the bound, equality and Schur sections share.
+# equal the fast values at m* for m the orbit minimum of f*, read off the
+# table table[inverse] of f -> f* *g_j (at f itself when sampled), so the
+# exhaustive audit also tests the invariance and the involution.  verify_all
+# runs the orbit pass once for the uncertainty sweep and the enumeration,
+# whose ideal list the bound, equality and Schur sections share.
 
 _SWEEP_CHUNK = 1 << 10
 _TABLE_SIZE = 1 << 10  # rows of a digit-block lookup table, at most (unless p > it)
@@ -386,6 +389,8 @@ def _sample_indices(n: int, p: int, sample: int, seed: int) -> np.ndarray:
     ascending order.  When p^n - 1 does not fit in int64 the digit vectors
     are drawn instead (nonzero ones) and the indices are Python ints in an
     object array."""
+    if sample < 1:
+        raise ValueError(f"a sample needs at least one generator, not {sample}")
     rng = np.random.default_rng(seed)
     if p**n <= 1 << 63:
         return np.sort(rng.integers(1, p**n, size=sample, dtype=np.int64))
@@ -441,11 +446,11 @@ def _eliminate(
 
 
 def _orbit_tables(table: np.ndarray, p: int) -> _Tables:
-    """Digit-block lookup tables of the action whose table is given, one per
+    """Digit-block lookup tables of the maps whose table is given, one per
     block of s digits (the last block may be shorter), as (p^first digit,
     p^width, block table).  Block table[v, (c - 1) * n + j] is the block's
-    part of the index of c times f moved by g_j: the sum over its digits x
-    of (c * digit_x(v) mod p) * p^table[x, j]."""
+    part of the index of c times f moved by map j: the sum over its digits
+    x of (c * digit_x(v) mod p) * p^table[x, j]."""
     n = len(table)
     s = 1
     while p ** (s + 1) <= _TABLE_SIZE:
@@ -466,8 +471,9 @@ def _lookup(idx: np.ndarray, tables: _Tables) -> np.ndarray:
 
 
 def _minimum_of(idx: np.ndarray, tables: _Tables) -> np.ndarray:
-    """The orbit minimum of each index, looked up one chunk at a time; the
-    identity translate at c = 1 keeps each index among its candidates."""
+    """The smallest index each index is moved to by the tables' maps,
+    looked up one chunk at a time.  Under group.table that is its orbit
+    minimum: the identity translate at c = 1 keeps it among the candidates."""
     out = np.empty_like(idx)
     for lo in range(0, len(idx), _SWEEP_CHUNK):
         out[lo : lo + _SWEEP_CHUNK] = _lookup(idx[lo : lo + _SWEEP_CHUNK], tables).min(axis=1)
@@ -492,19 +498,6 @@ def sweep_orbits(group: Group, field: PrimeField) -> SweepOrbits:
     return SweepOrbits(minima, *_eliminate(minima, group, field))
 
 
-def _left_orbits(
-    group: Group, p: int, orbits: SweepOrbits
-) -> tuple[np.ndarray, np.ndarray, _Tables]:
-    """The orbits of f -> c*g*f that the uncertainty sweep checks: their
-    minima, the rank at each minimum and the action's lookup tables."""
-    tables = _orbit_tables(group.table.T, p)
-    if np.array_equal(group.table, group.table.T):  # the two actions agree
-        return orbits.minima, orbits.ranks, tables
-    minima = _orbit_minima(group.table.T, p)
-    right = _minimum_of(minima, _orbit_tables(group.table, p))
-    return minima, orbits.ranks[np.searchsorted(orbits.minima, right)], tables
-
-
 def _greedy_lengths(
     masks: np.ndarray, order: np.ndarray, full: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -527,11 +520,12 @@ def verify_uncertainty(
     """Sweep all nonzero f: support size times ideal dimension reaches |G|,
     and both greedy escape lengths stay below the rank.
 
-    Exhaustive mode checks one f per orbit of f -> c*g*f, ranked from the
-    orbit pass (`orbits`, computed here when not given); sampled mode ranks
-    each sampled f by eliminating its translate matrix.  Every
-    _CROSSCHECK_STRIDE-th f is re-verified through uncertainty_check; see
-    the comment block above.
+    Exhaustive mode checks m* for each minimum m of the orbit pass, which
+    meets every orbit of f -> c*g*f once, at the rank of m: from `orbits`
+    when given, else from _reduce one chunk at a time, with no ideal list.
+    Sampled mode ranks each sampled f by eliminating its translate matrix.
+    Every _CROSSCHECK_STRIDE-th f is re-verified through uncertainty_check;
+    see the comment block above.
     """
     n, p = group.order, field.p
     W = translate_weights(group)
@@ -540,15 +534,19 @@ def verify_uncertainty(
     translate = _translate_index(group)
     if sample is None:
         if orbits is None:
-            orbits = sweep_orbits(group, field)
-        picks, ranks, tables = _left_orbits(group, p, orbits)
+            picks, ranks = _orbit_minima(group.table, p), None
+        else:
+            picks, ranks = orbits.minima, orbits.ranks
+        W = W[:, group.inverse]  # the masks of m* from the digits of m
         audit = np.arange(_CROSSCHECK_STRIDE, p**n, _CROSSCHECK_STRIDE, dtype=np.int64)
-        at = np.searchsorted(picks, _minimum_of(audit, tables))  # f's minimum in picks
+        star = _orbit_tables(group.table[group.inverse], p)  # f -> f* *g_j
+        at = np.searchsorted(picks, _minimum_of(audit, star))  # the minimum of f*
         order = np.argsort(at, kind="stable")
         audit, at = audit[order], at[order]
         checked = p**n - 1
+        orbit_of = _orbit_tables(group.inverse[group.table], p)  # m -> (c*m*g_j)*
     else:
-        picks, ranks, tables = _sample_indices(n, p, sample, sample_seed), None, None
+        picks, ranks, orbit_of = _sample_indices(n, p, sample, sample_seed), None, None
         at = np.flatnonzero(picks % _CROSSCHECK_STRIDE == 0)
         audit, checked = picks[at], len(picks)
     failures: list[tuple[int, str]] = []
@@ -574,7 +572,7 @@ def verify_uncertainty(
                 reason = f"rank {rk[j]} below greedy lengths {t_nat[j]}/{t_shuf[j]}"
             else:
                 reason = f"product {weights[j] * rk[j]} below {n}"
-            orbit = [idx[j]] if tables is None else np.unique(_lookup(idx[j : j + 1], tables))
+            orbit = [idx[j]] if orbit_of is None else np.unique(_lookup(idx[j : j + 1], orbit_of))
             failures += [(f, reason) for f in orbit]
         for k in range(*np.searchsorted(at, [lo, lo + len(idx)])):
             j = at[k] - lo

@@ -272,6 +272,19 @@ def left_orbit(f):
     return sorted(out)
 
 
+def star(f):
+    """f* = sum f(x) x^-1 as an AlgElem, each x^-1 found by scanning row x of
+    the Cayley table for the identity, index 0."""
+    from gcodelab.galg import AlgElem
+
+    group, field = f.group, f.field
+    out = AlgElem.zero(group, field)
+    for x in range(group.order):
+        inv = [int(y) for y in group.table[x]].index(0)
+        out = out + AlgElem.basis_elem(group, field, inv).scale(int(f.coeffs[x]))
+    return out
+
+
 def translate_support_words(f):
     """Support masks of the right translates f * g_j of an AlgElem, one list
     per j of ceil(n/64) signed 64-bit words (bit x % 64 of word x // 64 is

@@ -349,6 +349,40 @@ def test_seed_without_sample_is_a_usage_error(command, capsys):
     assert run_lines(capsys, base + ["--sample", "12", "--seed", "0"]) == unseeded
 
 
+@pytest.mark.parametrize("command", ["verify up", "search sweep"])
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_a_sample_below_one_is_a_usage_error(command, sample, capsys):
+    # --sample 0 exited 0 after checking nothing, --sample -3 exited 2 with
+    # numpy's "negative dimensions are not allowed"
+    argv = command.split() + ["--group", "cyclic:4", "--p", "2", "--sample", sample, "--json"]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: a sample needs at least one generator, not {sample}\n"
+
+
+def test_verify_up_exhaustive_with_a_sample_is_a_usage_error(capsys):
+    # the sample won silently
+    argv = ["verify", "up", "--group", "cyclic:4", "--p", "2", "--exhaustive", "--sample", "3"]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: --exhaustive and --sample exclude each other\n")
+
+
+@pytest.mark.parametrize("max_t", ["0", "-2"])
+def test_schur_power_max_t_below_one_is_a_usage_error(max_t, capsys):
+    argv = ["schur", "power", "--group", "cyclic:4", "--p", "2", "--gen", "1,1,0,0",
+            "--max-t", max_t, "--json"]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: max_t must be at least 1, not {max_t}\n"
+    argv[argv.index(max_t)] = "1"
+    code, lines = run_lines(capsys, argv)
+    assert code == 0 and json.loads(lines[0])["dims"] == [3]
+
+
 def test_search_golay_seed_defaults_to_0(capsys):
     base = ["search", "golay", "--budget", "20000", "--json"]
     code, lines = run_lines(capsys, base)

@@ -129,6 +129,14 @@ def test_power_chain_partial_when_capped():
     assert not rep.complete and rep.regularity is None and rep.period is None
 
 
+@pytest.mark.parametrize("max_t", [0, -2])
+def test_power_chain_needs_room_for_the_code(max_t):
+    # both printed the one-entry report of max_t=1
+    even = gc.augmentation_ideal(make_cyclic(8), F2)
+    with pytest.raises(ValueError, match=f"max_t must be at least 1, not {max_t}"):
+        schur.schur_power_chain(even, max_t=max_t)
+
+
 def test_power_chain_zero_rejected():
     with pytest.raises(ValueError):
         schur.schur_power_chain(gc.zero_code(C4, F2))

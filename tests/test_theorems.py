@@ -392,15 +392,14 @@ _ORBIT_CASES = (
 
 @pytest.mark.parametrize("spec, p", _ORBIT_CASES)
 def test_orbit_minima_match_the_oracles(spec, p):
-    # group.table is the action f -> c*f*g, its transpose f -> c*g*f
+    # group.table is the action f -> c*f*g
     group = from_spec(spec)
-    for table in (group.table, group.table.T):
-        got = theorems._orbit_minima(table, p).tolist()
-        rep_of = oracles.orbit_minima_matmul(table, group.inverse, p)
-        assert got == np.flatnonzero(rep_of == np.arange(p**group.order))[1:].tolist()
-        if p**group.order <= 1 << 12:
-            rep_of = oracles.orbit_minima_scan(table.tolist(), p)
-            assert got == [i for i, rep in enumerate(rep_of) if rep == i][1:]
+    got = theorems._orbit_minima(group.table, p).tolist()
+    rep_of = oracles.orbit_minima_matmul(group.table, group.inverse, p)
+    assert got == np.flatnonzero(rep_of == np.arange(p**group.order))[1:].tolist()
+    if p**group.order <= 1 << 12:
+        rep_of = oracles.orbit_minima_scan(group.table.tolist(), p)
+        assert got == [i for i, rep in enumerate(rep_of) if rep == i][1:]
 
 
 @pytest.mark.parametrize(
@@ -422,15 +421,16 @@ def test_orbit_tables_split_the_digits_into_blocks(n, p, blocks):
 def test_orbit_table_columns_are_the_indices_of_c_f_g(spec, p):
     # the orbit minimum is the same for any relabelling of the translates,
     # so the columns are checked one by one: column (c - 1) * n + j of the
-    # summed block terms is the index of c * f * g_j under group.table and
-    # of c * g_j * f under its transpose
+    # summed block terms is the index of c * f * g_j under group.table, and
+    # under the uncertainty sweep's tables of c * f* * g_j and (c * f * g_j)*
     group, field = from_spec(spec), PrimeField(p)
     n = group.order
     idx = np.random.default_rng(0).integers(0, p**n, size=200)
     place = p ** np.arange(n)
     actions = [
         (group.table, lambda f, g: f.right_translate(g)),
-        (group.table.T, lambda f, g: AlgElem.basis_elem(group, field, g) * f),
+        (group.table[group.inverse], lambda f, g: oracles.star(f).right_translate(g)),
+        (group.inverse[group.table], lambda f, g: oracles.star(f.right_translate(g))),
     ]
     for table, act in actions:
         tables = theorems._orbit_tables(table, p)
@@ -469,24 +469,6 @@ def test_sampled_enumeration_on_two_word_rows_matches_per_generator_rref():
     assert all(code.basis == expected[code.basis.key()][1] for _, code in found)
 
 
-def _corrupt_one_rank(monkeypatch, raise_rank):
-    """Make _left_orbits report a wrong rank at the minimum a quarter of the
-    way along: one more, or 0; the returned dict receives its index as "f"."""
-    left_orbits = theorems._left_orbits
-    corrupted = {}
-
-    def wrapped(*args):
-        minima, ranks, tables = left_orbits(*args)
-        k = len(minima) // 4
-        ranks = ranks.copy()
-        ranks[k] = ranks[k] + 1 if raise_rank else 0
-        corrupted["f"] = int(minima[k])
-        return minima, ranks, tables
-
-    monkeypatch.setattr(theorems, "_left_orbits", wrapped)
-    return corrupted
-
-
 @pytest.mark.parametrize("group, field", [(C8, F2), (S3, F3)], ids=["C8-F2", "S3-F3"])
 @pytest.mark.parametrize(
     "raise_rank, reason",
@@ -496,37 +478,59 @@ def _corrupt_one_rank(monkeypatch, raise_rank):
 def test_uncertainty_sweep_reports_a_wrong_rank_at_its_whole_orbit(
     group, field, raise_rank, reason, monkeypatch
 ):
-    # a rank one too high passes the bounds and is caught by the audit at
-    # each f; a rank of 0 fails the bounds at the minimum, reported for its orbit
+    # the sweep checks m* at the rank of the orbit minimum m a quarter of the
+    # way along, made one too high (which passes the bounds and is caught by
+    # the audit at each f) or 0 (which fails the bounds at m*, reported for
+    # the whole orbit of f -> c*g*f through m*)
     monkeypatch.setattr(theorems, "_CROSSCHECK_STRIDE", 1)
-    corrupted = _corrupt_one_rank(monkeypatch, raise_rank)
     n, p = group.order, field.p
-    rep = theorems.verify_uncertainty(group, field)
-    f = AlgElem(group, field, [(corrupted["f"] // p**i) % p for i in range(n)])
-    orbit = oracles.left_orbit(f)
-    assert len(orbit) > 1 and min(orbit) == corrupted["f"]
-    place = p ** np.arange(n)
-    right = {
-        int(f.right_translate(g).scale(c).coeffs @ place) for g in range(n) for c in range(1, p)
-    }
-    assert (sorted(right) != orbit) == (group is S3)  # on S3 the left orbit differs
+    orbits = theorems.sweep_orbits(group, field)
+    k = len(orbits.minima) // 4
+    ranks = orbits.ranks.copy()
+    ranks[k] = ranks[k] + 1 if raise_rank else 0
+    rep = theorems.verify_uncertainty(group, field, orbits=orbits._replace(ranks=ranks))
+    m = int(orbits.minima[k])
+    f = AlgElem(group, field, [(m // p**i) % p for i in range(n)])
+    orbit = oracles.left_orbit(oracles.star(f))
+    assert len(orbit) > 1
+    if group is S3:  # the orbit of m* need not hold m
+        assert (m, min(orbit)) == (46, 100)
     assert [rec["f"] for rec in rep["failures"]] == orbit
     assert all(rec["reason"].startswith(reason) for rec in rep["failures"])
     assert rep["checked"] == p**n - 1
 
 
 def test_uncertainty_audit_catches_right_orbit_minima_on_s3(monkeypatch):
-    # greedy lengths are constant on left orbits only: checking the minima of
-    # f -> c*f*g instead leaves audited f whose natural greedy walk differs
+    # greedy lengths are constant on the orbits of f -> c*g*f only: checking
+    # each orbit minimum m of f -> c*f*g itself instead of m*
+    # (translate_weights' rows permuted twice by the inverse) leaves audited
+    # f whose natural greedy walk differs
     monkeypatch.setattr(theorems, "_CROSSCHECK_STRIDE", 1)
+    weights = theorems.translate_weights
+    monkeypatch.setattr(theorems, "translate_weights", lambda g: weights(g)[:, g.inverse])
+    for field, failures in ((F3, 96), (F2, 12)):
+        rep = theorems.verify_uncertainty(S3, field)
+        assert len(rep["failures"]) == failures
+        assert all(rec["reason"].startswith("mask greedy length") for rec in rep["failures"])
 
-    def right_orbits(group, p, orbits):
-        return orbits.minima, orbits.ranks, theorems._orbit_tables(group.table, p)
 
-    monkeypatch.setattr(theorems, "_left_orbits", right_orbits)
-    rep = theorems.verify_uncertainty(S3, F3)
-    assert len(rep["failures"]) == 96
-    assert all(rec["reason"].startswith("mask greedy length") for rec in rep["failures"])
+@pytest.mark.parametrize(
+    "spec, p",
+    [("symmetric:3", 2), ("symmetric:3", 3), ("dihedral:4", 2), ("quaternion8", 2),
+     ("dihedral:5", 2), ("cyclic:6", 3)],
+)
+def test_the_stars_of_the_orbit_minima_meet_each_left_orbit_once(spec, p):
+    # m -> m* is the exhaustive uncertainty sweep's choice of one f per orbit
+    # of f -> c*g*f, each checked at the rank the orbit pass found for m
+    group, field = from_spec(spec), PrimeField(p)
+    n = group.order
+    orbits = theorems.sweep_orbits(group, field)
+    covered = []
+    for m, rank in zip(orbits.minima.tolist(), orbits.ranks.tolist()):
+        star = oracles.star(AlgElem(group, field, [(m // p**i) % p for i in range(n)]))
+        covered += oracles.left_orbit(star)
+        assert linalg.rank(star.multiplication_matrix(), field) == rank, (spec, p, m)
+    assert sorted(covered) == list(range(1, p**n))
 
 
 @pytest.mark.parametrize(
@@ -535,11 +539,26 @@ def test_uncertainty_audit_catches_right_orbit_minima_on_s3(monkeypatch):
      ("dihedral:5", 2), ("dihedral:6", 2), ("cyclic:4xcyclic:2", 2), ("cyclic:7", 3)],
 )
 def test_exhaustive_uncertainty_audit_passes_at_every_f(spec, p, monkeypatch):
-    # each f is compared with the fast values at its left orbit minimum
+    # each f is compared with the fast values at m*, m the orbit minimum of f*
     monkeypatch.setattr(theorems, "_CROSSCHECK_STRIDE", 1)
     group = from_spec(spec)
     rep = theorems.verify_uncertainty(group, PrimeField(p))
     assert rep["failures"] == [] and rep["checked"] == p**group.order - 1
+
+
+@pytest.mark.parametrize("spec, p", [("dihedral:5", 2), ("symmetric:3", 3)])
+def test_exhaustive_uncertainty_alone_builds_no_ideal_list(spec, p, monkeypatch):
+    # without `orbits` each chunk of minima is ranked by _reduce, and the
+    # report equals the one ranked by the orbit pass
+    group, field = from_spec(spec), PrimeField(p)
+    given = theorems.verify_uncertainty(group, field, orbits=theorems.sweep_orbits(group, field))
+
+    def forbidden(*args):
+        raise AssertionError("the exhaustive uncertainty sweep builds no ideal list")
+
+    monkeypatch.setattr(linalg, "unpack_f2", forbidden)
+    monkeypatch.setattr(theorems, "_eliminate", forbidden)
+    assert theorems.verify_uncertainty(group, field) == given
 
 
 @pytest.mark.parametrize("spec", ["cyclic:20", "dihedral:10"])
@@ -701,6 +720,12 @@ def test_verify_equality_builds_each_witness_code_once(monkeypatch):
     assert rep["failures"] == [
         {"f": fidx, "reason": "induced code misses the bound"} for fidx in certified
     ]
+
+
+@pytest.mark.parametrize("sample", [0, -3])
+def test_sample_indices_need_a_generator(sample):
+    with pytest.raises(ValueError, match=f"a sample needs at least one generator, not {sample}"):
+        theorems._sample_indices(8, 2, sample, seed=0)
 
 
 def test_sample_indices_past_int64():
