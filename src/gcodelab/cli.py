@@ -115,21 +115,32 @@ def _require(args, parser, *names) -> None:
         parser.error(f"missing required options: {', '.join('--' + m for m in missing)}")
 
 
-def _resolve_group(args) -> groups.Group:
-    return groups.from_spec(args.group)
+def _sweep_request(args, parser) -> tuple[groups.Group, PrimeField, dict]:
+    """The group, field and driver keyword arguments of a sweep command.
 
-
-def _resolve_field(args) -> PrimeField:
-    return PrimeField(args.p)
-
-
-def _sample_seed(args, parser) -> int:
-    """The seed of a sampled sweep: --seed, or 0 when absent.  A seed without
-    --sample would change nothing, so it is a usage error."""
-    seed = getattr(args, "seed", None)
-    if seed is not None and getattr(args, "sample", None) is None:
+    --group and --p are required; --seed needs --sample, since the seed only
+    picks the sample (0 when absent); --exhaustive excludes --sample; past
+    _FEASIBLE_ENUM generators the sweep needs one of the two, and the error
+    names those the command has."""
+    _require(args, parser, "group", "p")
+    group, field = groups.from_spec(args.group), PrimeField(args.p)
+    sample, seed = getattr(args, "sample", None), getattr(args, "seed", None)
+    exhaustive = getattr(args, "exhaustive", False)
+    if seed is not None and sample is None:
         parser.error("--seed needs --sample")
-    return 0 if seed is None else seed
+    if exhaustive and sample is not None:
+        parser.error("--exhaustive and --sample exclude each other")
+    if field.p**group.order > _FEASIBLE_ENUM and not exhaustive and sample is None:
+        ways = {"exhaustive": "--exhaustive", "sample": "--sample N"}
+        parser.error(
+            f"{field.p}^{group.order} generators exceed the feasibility cap; pass "
+            + " or ".join(way for dest, way in ways.items() if hasattr(args, dest))
+        )
+    # only the drivers that scan codewords read --guard
+    kwargs = {"guard": args.guard} if hasattr(args, "guard") else {}
+    if sample is not None:
+        kwargs.update(sample=sample, sample_seed=0 if seed is None else seed)
+    return group, field, kwargs
 
 
 def _resolve_code(args, parser) -> GCode:
@@ -138,7 +149,8 @@ def _resolve_code(args, parser) -> GCode:
             parser.error("--code excludes --group, --p and --gen")
         return gc.load_code(args.code)
     _require(args, parser, "group", "p", "gen")
-    return _ideal_from_text(_resolve_group(args), _resolve_field(args), args.gen, "--gen", parser)
+    group, field = groups.from_spec(args.group), PrimeField(args.p)
+    return _ideal_from_text(group, field, args.gen, "--gen", parser)
 
 
 def _ideal_from_text(group, field, text: str, option: str, parser) -> GCode:
@@ -176,7 +188,7 @@ def _emit_code(args, code: GCode, extra: dict | None = None) -> None:
 
 def _cmd_group(args, parser) -> int:
     _require(args, parser, "group")
-    g = _resolve_group(args)
+    g = groups.from_spec(args.group)
     if args.out:
         groups.save_group(g, args.out)
     if args.json:
@@ -195,8 +207,7 @@ def _cmd_group(args, parser) -> int:
 def _cmd_code(args, parser) -> int:
     if args.subcommand == "induced":
         _require(args, parser, "group", "p", "subgroup")
-        group = _resolve_group(args)
-        field = _resolve_field(args)
+        group, field = groups.from_spec(args.group), PrimeField(args.p)
         members = [int(x) for x in args.subgroup.split(",")]
         code = gc.trivial_induced(group, field, groups.Subgroup(group, members))
     else:
@@ -265,23 +276,7 @@ _VERIFY_DRIVERS = {
 
 
 def _cmd_verify(args, parser) -> int:
-    _require(args, parser, "group", "p")
-    group = _resolve_group(args)
-    field = _resolve_field(args)
-    sample = getattr(args, "sample", None)  # only 'verify up' reads --sample and --seed
-    seed = _sample_seed(args, parser)
-    if args.exhaustive and sample is not None:
-        parser.error("--exhaustive and --sample exclude each other")
-    total = field.p**group.order
-    if total > _FEASIBLE_ENUM and not args.exhaustive and sample is None:
-        parser.error(
-            f"{field.p}^{group.order} generators exceed the feasibility cap; "
-            "pass --exhaustive or --sample N"
-        )
-    # only the drivers that scan codewords read --guard
-    kwargs = {"guard": args.guard} if hasattr(args, "guard") else {}
-    if sample is not None:
-        kwargs.update(sample=sample, sample_seed=seed)
+    group, field, kwargs = _sweep_request(args, parser)
     report = _VERIFY_DRIVERS[args.subcommand](group, field, **kwargs)
     if args.json:
         print(_dump(report))
@@ -318,23 +313,8 @@ def _cmd_search_golay(args, parser) -> int:
 
 
 def _cmd_search_sweep(args, parser) -> int:
-    _require(args, parser, "group", "p")
-    group = _resolve_group(args)
-    field = _resolve_field(args)
-    seed = _sample_seed(args, parser)
-    total = field.p**group.order
-    if total > _FEASIBLE_ENUM and args.sample is None:
-        parser.error(
-            f"{field.p}^{group.order} generators exceed the feasibility cap; "
-            "pass --sample N"
-        )
-    rows = sweep_report(
-        group,
-        field,
-        sample=args.sample,
-        seed=seed,
-        guard=args.guard,
-    )
+    group, field, kwargs = _sweep_request(args, parser)
+    rows = sweep_report(group, field, **kwargs)
     if args.json:
         for row in rows:
             print(_dump(row))
@@ -353,15 +333,13 @@ def sweep_report(
     group,
     field,
     sample: int | None = None,
-    seed: int = 0,
+    sample_seed: int = 0,
     guard: int | None = None,
 ) -> list[dict]:
     """One row per distinct cyclic ideal: parameters, bound ratio,
     self-orthogonality, and the Schur-square dimension; sorted by descending
     ratio with deterministic tie-breaks."""
-    ideals = theorems.enumerate_cyclic_ideals(
-        group, field, sample=sample, sample_seed=seed
-    )
+    ideals = theorems.enumerate_cyclic_ideals(group, field, sample=sample, sample_seed=sample_seed)
     rows = []
     for fidx, code in ideals:
         rep = code.params(guard=guard)  # raises when d*k < |G|

@@ -159,7 +159,7 @@ def golay_search(budget: int, seed: int) -> GolaySearchResult | None:
         col_masks, odd = _translates(masks)
         for t in np.flatnonzero(~odd & (masks != 0)).tolist():
             rows = col_masks[t].tolist()
-            if linalg.f2_rank(rows, limit=_GOLAY_DIM) != _GOLAY_DIM:
+            if linalg.f2_rank(rows) != _GOLAY_DIM:
                 continue
             key = np.array(linalg.f2_rref(rows), dtype=np.int64)
             matrix = (key[:, None] >> shifts) & 1

@@ -295,12 +295,19 @@ def code_to_dict(code: GCode) -> dict:
 
 
 def code_from_dict(data: dict) -> GCode:
-    if not {"group", "p", "basis"} <= set(data):
+    """The code of a JSON object: its group a spec string or a group object,
+    its p and basis entries JSON integers, its basis in canonical RREF."""
+    if not isinstance(data, dict) or not {"group", "p", "basis"} <= set(data):
         raise ValueError("code file needs group, p, basis")
     gsrc = data["group"]
+    if not isinstance(gsrc, (str, dict)):
+        raise ValueError("a code's group must be a spec string or a group object")
     group = groups.from_spec(gsrc) if isinstance(gsrc, str) else groups.group_from_dict(gsrc)
-    field = PrimeField(int(data["p"]))
-    rows = np.asarray(data["basis"], dtype=np.int64)
+    rows = np.asarray(data["basis"])
+    if type(data["p"]) is not int or (rows.size and rows.dtype.kind != "i"):
+        raise ValueError("a code's p and basis entries must be integers")
+    field = PrimeField(data["p"])
+    rows = rows.astype(np.int64, copy=False)
     if rows.size == 0:
         rows = rows.reshape(0, group.order)
     basis = linalg.rref(rows, field, width=group.order)

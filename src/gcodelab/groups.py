@@ -416,10 +416,14 @@ def group_to_dict(g: Group) -> dict:
 
 
 def group_from_dict(data: dict) -> Group:
-    if not {"name", "order", "table", "labels"} <= set(data):
+    """The group of a JSON object, whose order and table entries must be JSON
+    integers; one dtype check covers the whole table."""
+    if not isinstance(data, dict) or not {"name", "order", "table", "labels"} <= set(data):
         raise ValueError("group file needs name, order, table, labels")
-    table = np.asarray(data["table"], dtype=np.int64)
-    if data["order"] != table.shape[0]:
+    table = np.asarray(data["table"])
+    if type(data["order"]) is not int or table.dtype.kind != "i":
+        raise ValueError("a group's order and table entries must be integers")
+    if table.shape[:1] != (data["order"],):
         raise ValueError("declared order does not match table size")
     return Group(table, labels=data["labels"], name=data["name"])
 

@@ -337,8 +337,8 @@ def _check_compatible(a: RowBasis, b: RowBasis) -> None:
 # dominate the runtime.
 
 
-def f2_rank(rows: Iterable[int], limit: int | None = None) -> int:
-    """Rank of bit-packed rows over F_2; stops early once `limit` is exceeded."""
+def f2_rank(rows: Iterable[int]) -> int:
+    """Rank of bit-packed rows over F_2."""
     basis: dict[int, int] = {}
     for v in rows:
         while v:
@@ -348,8 +348,6 @@ def f2_rank(rows: Iterable[int], limit: int | None = None) -> int:
             else:
                 basis[low] = v
                 break
-        if limit is not None and len(basis) > limit:
-            return len(basis)
     return len(basis)
 
 

@@ -355,7 +355,7 @@ def solv_check(code: GCode) -> dict:
 # whose ideal list the bound, equality and Schur sections share.
 
 _SWEEP_CHUNK = 1 << 10
-_TABLE_SIZE = 1 << 10  # rows of a digit-block lookup table, at most (unless p > it)
+_TABLE_SIZE = 1 << 10  # rows of a digit-block lookup table, at most, so p <= it
 _SHUFFLE_SEED = 0  # the second greedy order is this seed's permutation
 _CROSSCHECK_STRIDE = 997  # every f with index divisible by it is re-derived
 
@@ -450,7 +450,10 @@ def _orbit_tables(table: np.ndarray, p: int) -> _Tables:
     block of s digits (the last block may be shorter), as (p^first digit,
     p^width, block table).  Block table[v, (c - 1) * n + j] is the block's
     part of the index of c times f moved by map j: the sum over its digits
-    x of (c * digit_x(v) mod p) * p^table[x, j]."""
+    x of (c * digit_x(v) mod p) * p^table[x, j].  A one-digit table has p
+    rows of (p - 1) * n entries, so p past _TABLE_SIZE is refused."""
+    if p > _TABLE_SIZE:
+        raise ValueError(f"exhaustive sweeps need p <= {_TABLE_SIZE}, not {p}")
     n = len(table)
     s = 1
     while p ** (s + 1) <= _TABLE_SIZE:
@@ -596,12 +599,13 @@ def verify_uncertainty(
             except VerificationError as exc:
                 failures.append((audit[k], str(exc)))
     failures.sort(key=lambda rec: rec[0])
-    return {
-        "group": group.name,
-        "p": p,
-        "checked": checked,
-        "failures": [{"f": int(f), "reason": reason} for f, reason in failures],
-    }
+    return _report(group, field, checked, [{"f": int(f), "reason": r} for f, r in failures])
+
+
+def _report(group: Group, field: PrimeField, checked: int, failures: list, **extra) -> dict:
+    """A sweep's report: what it swept, how many items it checked, one record
+    per failure, and any further fields."""
+    return {"group": group.name, "p": field.p, "checked": checked, "failures": failures, **extra}
 
 
 def enumerate_cyclic_ideals(
@@ -650,12 +654,7 @@ def _each_ideal(
             check(code)
         except VerificationError as exc:
             failures.append({"f": fidx, "reason": str(exc)})
-    return {
-        "group": group.name,
-        "p": field.p,
-        "checked": len(ideals),
-        "failures": failures,
-    }
+    return _report(group, field, len(ideals), failures)
 
 
 def verify_bound(
@@ -761,10 +760,5 @@ def verify_all(group: Group, field: PrimeField, guard: int | None = None) -> dic
     failures = [
         dict(section=name, **f) for name, rep in sections.items() for f in rep["failures"]
     ]
-    return {
-        "group": group.name,
-        "p": field.p,
-        "checked": sum(rep["checked"] for rep in sections.values()),
-        "failures": failures,
-        "sections": sections,
-    }
+    checked = sum(rep["checked"] for rep in sections.values())
+    return _report(group, field, checked, failures, sections=sections)

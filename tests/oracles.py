@@ -347,7 +347,7 @@ def golay_scan_unfiltered(budget, seed, chunk=1 << 12):
             if masks[t] == 0:
                 continue
             rows = col_masks[t].tolist()
-            if linalg.f2_rank(rows, limit=12) != 12:
+            if linalg.f2_rank(rows) != 12:
                 continue
             key = np.array(linalg.f2_rref(rows), dtype=np.int64)
             if gc._split_scan((key[:, None] >> shifts) & 1, 2)[0] == 8:

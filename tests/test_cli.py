@@ -403,6 +403,45 @@ def test_search_sweep_rows_and_thread_determinism(capsys):
     assert all(row["product"] >= 4 for row in parsed)
 
 
+_C4 = "--group cyclic:4 --p 2"
+# rule: (the options it needs, its arguments, the last stderr line); {hint}
+# names the ways past the cap that the command has (verify bound, equality,
+# schur and all named --sample too, which they refuse)
+_SWEEP_RULES = {
+    "no group": ("", "--p 2", "gcodelab: error: missing required options: --group"),
+    "no p": ("", "--group cyclic:4", "gcodelab: error: missing required options: --p"),
+    "seed alone": ("--seed", f"{_C4} --seed 5", "gcodelab: error: --seed needs --sample"),
+    "exhaustive sample": ("--exhaustive --sample", f"{_C4} --exhaustive --sample 3",
+                          "gcodelab: error: --exhaustive and --sample exclude each other"),
+    "sample 0": ("--sample", f"{_C4} --sample 0",
+                 "error: a sample needs at least one generator, not 0"),
+    "sample -3": ("--sample", f"{_C4} --sample -3",
+                  "error: a sample needs at least one generator, not -3"),
+    "cap": ("", "--group cyclic:21 --p 2",
+            "gcodelab: error: 2^21 generators exceed the feasibility cap; pass {hint}"),
+}
+_CAP_HINT = {
+    "verify up": "--exhaustive or --sample N",
+    "search sweep": "--sample N",
+}
+
+
+@pytest.mark.parametrize("command, argv, line", [
+    pytest.param(command, argv, line, id=f"{command}-{rule}")
+    for command, options in COMMAND_OPTIONS.items()
+    if command.startswith("verify") or command == "search sweep"
+    for rule, (needs, argv, line) in _SWEEP_RULES.items()
+    if set(needs.split()) <= set(options.split())
+])
+def test_every_sweep_command_states_each_of_its_request_rules(capsys, command, argv, line):
+    assert cli.run(command.split() + argv.split() + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    hint = _CAP_HINT.get(command, "--exhaustive")
+    assert captured.err.endswith("\n")
+    assert captured.err.splitlines()[-1] == line.format(hint=hint)
+
+
 def test_sweep_feasibility_cap():
     assert cli.run(["search", "sweep", "--group", "symmetric:4", "--p", "2"]) == 2
     assert cli.run(["verify", "up", "--group", "symmetric:4", "--p", "2"]) == 2
@@ -495,3 +534,72 @@ def test_search_sweep_golden_at_the_caps(capsys, spec, p):
     out = capsys.readouterr().out
     digest, lines = SEARCH_SWEEP_GOLDEN[(spec, p)]
     assert (hashlib.sha256(out.encode()).hexdigest(), len(out.splitlines())) == (digest, lines)
+
+
+# each malformed file with the command that reads it; every one exited 0 or
+# exited 1 with a traceback
+MALFORMED_FILES = {
+    "p 2.5": ("code params", {"group": "cyclic:2", "p": 2.5, "basis": [[1, 1]]},
+              "error: a code's p and basis entries must be integers"),
+    "p [2]": ("code params", {"group": "cyclic:2", "p": [2], "basis": [[1, 1]]},
+              "error: a code's p and basis entries must be integers"),
+    "group 5": ("code params", {"group": 5, "p": 2, "basis": [[1, 1]]},
+                "error: a code's group must be a spec string or a group object"),
+    "basis 1e30": ("code params", {"group": "cyclic:2", "p": 2, "basis": [[1, 1e30]]},
+                   "error: a code's p and basis entries must be integers"),
+    "basis past int64": ("code params", {"group": "cyclic:2", "p": 2, "basis": [[1, 1 << 70]]},
+                         "error: a code's p and basis entries must be integers"),
+    "a list": ("code params", [["group", "p", "basis"]], "error: code file needs group, p, basis"),
+    "table 0.5": ("group show", {"name": "C2", "order": 2, "table": [[0, 1], [1, 0.5]],
+                                 "labels": ["e", "a"]},
+                  "error: a group's order and table entries must be integers"),
+    "table '0'": ("group show", {"name": "C2", "order": 2, "table": [[0, 1], [1, "0"]],
+                                 "labels": ["e", "a"]},
+                  "error: a group's order and table entries must be integers"),
+    "order 2.0": ("group show", {"name": "C2", "order": 2.0, "table": [[0, 1], [1, 0]],
+                                 "labels": ["e", "a"]},
+                  "error: a group's order and table entries must be integers"),
+    "embedded table 0.5": ("code params", {"group": {"name": "C2", "order": 2,
+                                                     "table": [[0, 1], [1, 0.5]],
+                                                     "labels": ["e", "a"]},
+                                           "p": 2, "basis": [[1, 1]]},
+                           "error: a group's order and table entries must be integers"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FILES))
+def test_a_malformed_file_is_a_usage_error(tmp_path, capsys, case):
+    command, data, line = MALFORMED_FILES[case]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    option = "--code" if command.startswith("code") else "--group"
+    assert cli.run(command.split() + [option, str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
+def test_a_zero_code_file_still_loads(tmp_path, capsys):
+    # its empty basis reads as a float array, which holds no entry to check
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"group": "cyclic:2", "p": 3, "basis": []}))
+    code, lines = run_lines(capsys, ["code", "ideal", "--code", str(zero), "--json"])
+    assert code == 0 and json.loads(lines[0])["dim"] == 0
+
+
+@pytest.mark.parametrize("command", ["verify up", "verify all", "search sweep"])
+def test_exhaustive_sweeps_refuse_p_past_the_table_size(capsys, command):
+    # a one-digit orbit table has p rows of (p - 1) * n int64 entries: on C1 the
+    # uncertainty sweep peaked at 101.5 MB under tracemalloc at p = 2053, and
+    # would need about 100 GB at p = 65521
+    argv = command.split() + ["--group", "cyclic:1", "--p", "2053", "--json"]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exhaustive sweeps need p <= 1024, not 2053\n"
+    if command == "verify up":  # a sample builds no orbit table
+        code, lines = run_lines(capsys, argv + ["--sample", "5"])
+        assert code == 0
+        assert json.loads(lines[0]) == {"checked": 5, "failures": [], "group": "C1", "p": 2053}
+    assert cli.run(argv[:-2] + ["1021", "--json"]) == 0
+    capsys.readouterr()

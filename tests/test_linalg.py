@@ -238,12 +238,6 @@ def test_f2_fast_path_matches_generic():
         assert np.array_equal(unpacked, linalg.rref(m, F2).matrix)
 
 
-def test_f2_rank_limit_short_circuits():
-    eye_rows = [1 << i for i in range(20)]
-    assert linalg.f2_rank(eye_rows, limit=5) == 6
-    assert linalg.f2_rank(eye_rows[:4], limit=5) == 4
-
-
 def _stack_matrix(kind: str, p: int, rows: int, cols: int, seed: int) -> np.ndarray:
     """A zero, full-rank, rank-deficient or uniformly random rows x cols matrix."""
     rng = np.random.default_rng(seed)
