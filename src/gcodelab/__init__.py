@@ -46,6 +46,7 @@ from .schur import (
     SchurChainReport,
     fixed_point_structure,
     schur_power_chain,
+    schur_power_chains,
     schur_product,
 )
 from .theorems import (

@@ -296,7 +296,8 @@ def code_to_dict(code: GCode) -> dict:
 
 def code_from_dict(data: dict) -> GCode:
     """The code of a JSON object: its group a spec string or a group object,
-    its p and basis entries JSON integers, its basis in canonical RREF."""
+    its p and basis entries JSON integers, its basis in canonical RREF (so
+    every entry lies in [0, p))."""
     if not isinstance(data, dict) or not {"group", "p", "basis"} <= set(data):
         raise ValueError("code file needs group, p, basis")
     gsrc = data["group"]
@@ -311,7 +312,7 @@ def code_from_dict(data: dict) -> GCode:
     if rows.size == 0:
         rows = rows.reshape(0, group.order)
     basis = linalg.rref(rows, field, width=group.order)
-    if not np.array_equal(basis.matrix, rows % field.p):
+    if not np.array_equal(basis.matrix, rows):
         raise ValueError("stored basis is not in canonical reduced form")
     return GCode(group, basis)
 

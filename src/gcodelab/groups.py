@@ -417,7 +417,8 @@ def group_to_dict(g: Group) -> dict:
 
 def group_from_dict(data: dict) -> Group:
     """The group of a JSON object, whose order and table entries must be JSON
-    integers; one dtype check covers the whole table."""
+    integers (one dtype check covers the whole table), its name a string and
+    its labels a list of one string per element."""
     if not isinstance(data, dict) or not {"name", "order", "table", "labels"} <= set(data):
         raise ValueError("group file needs name, order, table, labels")
     table = np.asarray(data["table"])
@@ -425,7 +426,16 @@ def group_from_dict(data: dict) -> Group:
         raise ValueError("a group's order and table entries must be integers")
     if table.shape[:1] != (data["order"],):
         raise ValueError("declared order does not match table size")
-    return Group(table, labels=data["labels"], name=data["name"])
+    if not isinstance(data["name"], str):
+        raise ValueError("a group's name must be a string")
+    labels = data["labels"]
+    if not (
+        isinstance(labels, list)
+        and len(labels) == data["order"]
+        and all(isinstance(x, str) for x in labels)
+    ):
+        raise ValueError("a group's labels must be a list of one string per element")
+    return Group(table, labels=labels, name=data["name"])
 
 
 def save_group(g: Group, path: str) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -638,23 +638,29 @@ def enumerate_cyclic_ideals(
     return out
 
 
+T = TypeVar("T")
+
+
 def _each_ideal(
     group: Group,
     field: PrimeField,
-    ideals: list[tuple[int, GCode]] | None,
-    check: Callable[[GCode], None],
+    ideals: Iterable[tuple[int, T]] | None,
+    check: Callable[[T], None],
 ) -> dict:
-    """Run check(code) on each listed ideal (every cyclic ideal when None)
-    and report each VerificationError under the ideal's generator index."""
+    """Run check(item) on each listed ideal's item, a GCode unless the caller
+    pairs it with more (every cyclic ideal when None), and report each
+    VerificationError under the ideal's generator index."""
     if ideals is None:
         ideals = enumerate_cyclic_ideals(group, field)
+    checked = 0
     failures: list[dict] = []
-    for fidx, code in ideals:
+    for fidx, item in ideals:
+        checked += 1
         try:
-            check(code)
+            check(item)
         except VerificationError as exc:
             failures.append({"f": fidx, "reason": str(exc)})
-    return _report(group, field, len(ideals), failures)
+    return _report(group, field, checked, failures)
 
 
 def verify_bound(
@@ -705,6 +711,7 @@ def verify_equality(
 
 
 _PAIRWISE_PRODUCT_CAP = 8  # group order up to which all ideal pairs are multiplied
+_CHAIN_BATCH = 16  # ideals whose power chains run together: bounds the stacks and powers held
 
 
 def verify_schur(
@@ -716,15 +723,28 @@ def verify_schur(
     the Schur-fixed ones, chain stabilization over F_2, and (on small groups)
     closure of every pairwise product.
 
-    Each ideal gets one power chain: to the end over F_2, to the square
-    elsewhere.  A chain that stops at once with period 1 has met a
+    Each ideal gets one power chain, to the end over F_2 and to the square
+    elsewhere; schur.schur_power_chains runs the chains of _CHAIN_BATCH
+    ideals at a time.  A chain that stops at once with period 1 has met a
     Schur-fixed code, whose square is itself."""
     if ideals is None:
         ideals = enumerate_cyclic_ideals(group, field)
     binary = field.p == 2
 
-    def check(code: GCode) -> None:
-        chain = schur.schur_power_chain(code, max_t=None if binary else 2)
+    def chained() -> Iterator[tuple[int, tuple[GCode, schur.ChainOutcome]]]:
+        # a batch's reports hold every power of its chains until checked
+        for lo in range(0, len(ideals), _CHAIN_BATCH):
+            batch = ideals[lo : lo + _CHAIN_BATCH]
+            chains = schur.schur_power_chains(
+                [code for _, code in batch], max_t=None if binary else 2
+            )
+            for (fidx, code), chain in zip(batch, chains):
+                yield fidx, (code, chain)
+
+    def check(item: tuple[GCode, schur.ChainOutcome]) -> None:
+        code, chain = item
+        if isinstance(chain, VerificationError):
+            raise chain
         fixed = len(chain.codes) == 1
         _square_clauses(code, code if fixed else chain.codes[1])
         if fixed and len(chain.stabilizer_subgroup) * code.dim != group.order:
@@ -732,7 +752,7 @@ def verify_schur(
         if binary and (not chain.complete or chain.period != 1):
             raise VerificationError("binary chain failed to stabilize")
 
-    report = _each_ideal(group, field, ideals, check)
+    report = _each_ideal(group, field, chained(), check)
     if group.order <= _PAIRWISE_PRODUCT_CAP:
         for i, (fi, a) in enumerate(ideals):
             for fj, b in ideals[i:]:

@@ -353,3 +353,34 @@ def golay_scan_unfiltered(budget, seed, chunk=1 << 12):
             if gc._split_scan((key[:, None] >> shifts) & 1, 2)[0] == 8:
                 return start + t, int(masks[t])
     return None
+
+
+def power_chain_by_products(code, max_t=None):
+    """(dims, regularity, period, complete, code keys, stabilizer members or
+    None) of the power chain of one code, each power one `schur_product` of
+    the last power with the code and each step checked on the GCodes it
+    made: the loop `schur_power_chain` ran before the chains were batched,
+    kept as their reference.  Raises the step's VerificationError."""
+    from gcodelab import schur
+    from gcodelab.errors import VerificationError
+
+    if max_t is None:
+        max_t = 2 * code.length + 4
+    codes, seen = [code], {code.key(): 1}
+    while len(codes) < max_t:
+        nxt = schur.schur_product(codes[-1], code)
+        if nxt.dim < codes[-1].dim:
+            raise VerificationError("power dimension decreased along the chain")
+        if code.field.p == 2 and not codes[-1].issubset(nxt):
+            raise VerificationError("binary power chain failed to ascend")
+        t = len(codes) + 1
+        if nxt.key() in seen:
+            dims = [c.dim for c in codes]
+            period = t - seen[nxt.key()]
+            stabilizer = schur.fixed_point_structure(codes[-1]) if period == 1 else None
+            keys = [c.key() for c in codes]
+            members = stabilizer.members if stabilizer else None
+            return dims, dims.index(dims[-1]) + 1, period, True, keys, members
+        seen[nxt.key()] = t
+        codes.append(nxt)
+    return [c.dim for c in codes], None, None, False, [c.key() for c in codes], None

@@ -12,6 +12,7 @@ repetition code attains d*k = |G| (see test body).
 import json
 import time
 
+import oracles
 import pytest
 
 import gcodelab as gl
@@ -190,6 +191,25 @@ def test_criterion_5_schur_structure_sweep(sweep_groups, ideal_cache):
         report = gl.verify_schur(group, field)
         assert report["failures"] == [], spec
     _pass(5, "Schur structure sweep", t0, 600.0)
+
+
+def test_criterion_5_batched_chains_match_the_product_loop(ideal_cache):
+    # every acceptance ideal's chain, run in one batch per group, against the
+    # loop of single products, to the end and to the square
+    for spec in SWEEP_F2 + SWEEP_F3:
+        codes = [code for _, code in ideal_cache[spec]]
+        for max_t in (None, 2):
+            for code, chain in zip(codes, gl.schur_power_chains(codes, max_t=max_t)):
+                sub = chain.stabilizer_subgroup
+                fields = (
+                    chain.dims,
+                    chain.regularity,
+                    chain.period,
+                    chain.complete,
+                    [c.key() for c in chain.codes],
+                    sub.members if sub else None,
+                )
+                assert fields == oracles.power_chain_by_products(code, max_t), spec
 
 
 def test_criterion_6_even_distance(ideal_cache, sweep_groups):

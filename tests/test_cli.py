@@ -564,6 +564,30 @@ MALFORMED_FILES = {
                                                      "labels": ["e", "a"]},
                                            "p": 2, "basis": [[1, 1]]},
                            "error: a group's order and table entries must be integers"),
+    "basis [[3, 3]]": ("code params", {"group": "cyclic:2", "p": 2, "basis": [[3, 3]]},
+                       "error: stored basis is not in canonical reduced form"),
+    "basis [[1, -1]]": ("code params", {"group": "cyclic:2", "p": 3, "basis": [[1, -1]]},
+                        "error: stored basis is not in canonical reduced form"),
+    "labels 5": ("group show", {"name": "C2", "order": 2, "table": [[0, 1], [1, 0]],
+                                "labels": 5},
+                 "error: a group's labels must be a list of one string per element"),
+    "labels 'ea'": ("group show", {"name": "C2", "order": 2, "table": [[0, 1], [1, 0]],
+                                   "labels": "ea"},
+                    "error: a group's labels must be a list of one string per element"),
+    "labels [0, 1]": ("group show", {"name": "C2", "order": 2, "table": [[0, 1], [1, 0]],
+                                     "labels": [0, 1]},
+                      "error: a group's labels must be a list of one string per element"),
+    "labels ['e']": ("group show", {"name": "C2", "order": 2, "table": [[0, 1], [1, 0]],
+                                    "labels": ["e"]},
+                     "error: a group's labels must be a list of one string per element"),
+    "name 7": ("group show", {"name": 7, "order": 2, "table": [[0, 1], [1, 0]],
+                              "labels": ["e", "a"]},
+               "error: a group's name must be a string"),
+    "embedded name 7": ("code params", {"group": {"name": 7, "order": 2,
+                                                  "table": [[0, 1], [1, 0]],
+                                                  "labels": ["e", "a"]},
+                                        "p": 2, "basis": [[1, 1]]},
+                        "error: a group's name must be a string"),
 }
 
 

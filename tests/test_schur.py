@@ -1,3 +1,5 @@
+import numpy as np
+import oracles
 import pytest
 
 from gcodelab import gcode as gc
@@ -7,6 +9,7 @@ from gcodelab.ffield import PrimeField
 from gcodelab.galg import AlgElem
 from gcodelab.groups import (
     Subgroup,
+    from_spec,
     make_cyclic,
     make_dihedral,
     make_elementary_abelian,
@@ -226,10 +229,124 @@ def test_binary_power_chain_ascends():
 
 
 def test_binary_power_chain_rejects_a_descent(monkeypatch):
+    # e_1..e_7 span {x : x_0 = 0}, a 7-dim space without the even-weight code,
+    # so a square read as that span keeps the dimension but does not ascend
     even = gc.augmentation_ideal(make_cyclic(8), F2)
-    monkeypatch.setattr(gc.GCode, "issubset", lambda self, other: False)
+    off_identity = linalg.pack_f2(np.eye(8, dtype=np.int64)[1:])
+    products = schur._products
+
+    def faked(power, base, p, square):
+        return off_identity if p == 2 else products(power, base, p, square)
+
+    monkeypatch.setattr(schur, "_products", faked)
     with pytest.raises(VerificationError, match="failed to ascend"):
         schur.schur_power_chain(even)
     # the ternary 2-cycle does not ascend, and F_3 runs no such check
     line = gc.ideal_from_generators(C2, F3, [AlgElem(C2, F3, [1, 2])])
     assert schur.schur_power_chain(line).period == 2
+
+
+def _chain_fields(rep):
+    members = rep.stabilizer_subgroup.members if rep.stabilizer_subgroup else None
+    keys = [code.key() for code in rep.codes]
+    return rep.dims, rep.regularity, rep.period, rep.complete, keys, members
+
+
+def _every_cyclic_ideal(spec, p):
+    group, field = from_spec(spec), PrimeField(p)
+    if (spec, p) != ("cyclic:10", 5):
+        return [code for _, code in enumerate_cyclic_ideals(group, field)]
+    # 5^10 generators take seconds to sweep; over F_5 x^10 - 1 is
+    # (x - 1)^5 (x + 1)^5, so the ideals are those of (x - 1)^a (x + 1)^b
+    codes = []
+    for a in range(6):
+        for b in range(6 if a < 5 else 5):
+            poly = [1]
+            for root in [1] * a + [-1] * b:
+                poly = np.convolve(poly, [-root, 1])
+            coeffs = np.zeros(10, dtype=np.int64)
+            coeffs[: len(poly)] = poly
+            elem = AlgElem(group, field, coeffs % 5)
+            codes.append(gc.ideal_from_generators(group, field, [elem]))
+    assert len({code.key() for code in codes}) == 35
+    return codes
+
+
+@pytest.mark.parametrize(
+    "spec, p",
+    [
+        ("cyclic:16", 2),
+        ("dihedral:4", 2),
+        ("quaternion8", 2),
+        ("dihedral:8", 2),
+        ("symmetric:3", 3),
+        ("cyclic:9", 3),
+        ("dihedral:6", 3),
+        ("cyclic:10", 5),
+    ],
+)
+def test_batched_chains_match_the_product_loop(spec, p):
+    codes = _every_cyclic_ideal(spec, p)
+    for max_t in (None, 2):
+        chains = schur.schur_power_chains(codes, max_t=max_t)
+        assert len(chains) == len(codes)
+        for code, chain in zip(codes, chains):
+            assert _chain_fields(chain) == oracles.power_chain_by_products(code, max_t)
+            if chain.period == 1:
+                assert chain.stabilized_code == chain.codes[-1]
+
+
+def test_a_failing_chain_is_reported_at_its_own_ideal(monkeypatch):
+    # C16/F2 has one ideal of each dimension; three squares in the middle of
+    # the batch are read as spans that break the bound, the dimension and
+    # the ascent, and the other chains must not notice
+    group = make_cyclic(16)
+    ideals = enumerate_cyclic_ideals(group, F2)
+    codes = [code for _, code in ideals]
+    clean = schur.schur_power_chains(codes)
+    eye = np.eye(16, dtype=np.int64)
+    broken = {
+        2: (eye, "product dimension 16 exceeds the bound 3"),
+        4: (eye[:1], "power dimension decreased along the chain"),
+        15: (eye[1:], "binary power chain failed to ascend"),
+    }
+    fakes = {
+        linalg.pack_f2(code.basis.matrix).tobytes(): linalg.pack_f2(broken[code.dim][0])
+        for code in codes
+        if code.dim in broken
+    }
+    products = schur._products
+
+    def faked(power, base, p, square):
+        if square and base.tobytes() in fakes:
+            return fakes[base.tobytes()]
+        return products(power, base, p, square)
+
+    monkeypatch.setattr(schur, "_products", faked)
+    positions = [i for i, code in enumerate(codes) if code.dim in broken]
+    assert len(positions) == 3 and 0 < min(positions) and max(positions) < len(codes) - 1
+    chains = schur.schur_power_chains(codes)
+    for code, chain, before in zip(codes, chains, clean):
+        if code.dim in broken:
+            assert isinstance(chain, VerificationError)
+            assert str(chain) == broken[code.dim][1]
+        else:
+            assert _chain_fields(chain) == _chain_fields(before)
+    report = theorems.verify_schur(group, F2, ideals=ideals)
+    assert report["checked"] == len(ideals)
+    assert report["failures"] == [
+        {"f": fidx, "reason": broken[code.dim][1]} for fidx, code in ideals if code.dim in broken
+    ]
+
+
+def test_power_chains_refuse_mixed_or_zero_codes():
+    assert schur.schur_power_chains([]) == []
+    even = gc.augmentation_ideal(C4, F2)
+    with pytest.raises(ValueError, match="different groups"):
+        schur.schur_power_chains([even, gc.augmentation_ideal(make_cyclic(8), F2)])
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        schur.schur_power_chains([even, gc.augmentation_ideal(C4, F3)])
+    with pytest.raises(ValueError, match="nonzero"):
+        schur.schur_power_chains([even, gc.zero_code(C4, F2)])
+
+

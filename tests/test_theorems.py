@@ -667,23 +667,28 @@ def test_verify_equality_scans_only_the_listed_ideals(monkeypatch):
 
 @pytest.mark.parametrize("spec, p", [("cyclic:16", 2), ("cyclic:9", 3)])
 def test_verify_schur_squares_each_ideal_once(spec, p, monkeypatch):
-    # both orders lie above the pairwise cap, so every product is a power
-    squares = {}  # id -> (code, count); holding the code keeps its id unique
-    product = theorems.schur.schur_product
+    # both orders lie above the pairwise cap, so every product is a chain
+    # step, and a chain squares its code at its first step only
+    squared = []
+    products = schur._products
 
-    def counted(a, b):
-        if a is b:
-            code, count = squares.get(id(a), (a, 0))
-            squares[id(a)] = (code, count + 1)
-        return product(a, b)
+    def counted(power, base, p, square):
+        if square:
+            squared.append(base.tobytes())
+        return products(power, base, p, square)
 
-    monkeypatch.setattr(theorems.schur, "schur_product", counted)
+    def outside(a, b):
+        raise AssertionError("a product outside the power chains")
+
+    monkeypatch.setattr(schur, "_products", counted)
+    monkeypatch.setattr(schur, "schur_product", outside)
     group, field = from_spec(spec), PrimeField(p)
     ideals = theorems.enumerate_cyclic_ideals(group, field)
     assert group.order > theorems._PAIRWISE_PRODUCT_CAP
     rep = theorems.verify_schur(group, field, ideals=ideals)
     assert rep["failures"] == [] and rep["checked"] == len(ideals)
-    assert all(squares.get(id(code), (code, 0))[1] == 1 for _, code in ideals)
+    rows = [code.basis.matrix for _, code in ideals]
+    assert sorted(squared) == sorted((linalg.pack_f2(m) if p == 2 else m).tobytes() for m in rows)
 
 
 def test_verify_equality_builds_each_witness_code_once(monkeypatch):
