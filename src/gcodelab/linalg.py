@@ -19,9 +19,10 @@ the rows the minimum-distance scan XORs and counts.  The seeded ideal search
 keeps one Python int per row (bit c = column c) in `f2_rank`/`f2_rref` and
 unpacks the reduced rows with numpy shifts.  `f2_rank` is also the
 independent F_2 rank of the uncertainty sweep's audit
-(theorems.uncertainty_check), since it shares no code with the packed words
-it audits.  Both layers are cross-checked against the generic path in the
-test suite.
+(theorems.uncertainty_checks, one call per matrix on rows packed by
+np.packbits), and `rank` its rank over odd p, since neither shares code with
+the packed words or the stacks it audits.  Both layers are cross-checked
+against the generic path in the test suite.
 """
 
 from __future__ import annotations

@@ -66,30 +66,77 @@ def greedy_support_rank(
     return t, seq
 
 
+def uncertainty_checks(
+    group: Group, field: PrimeField, coeffs, order: Sequence[int] | None = None
+) -> list[UncertaintyResult | VerificationError]:
+    """The checks of uncertainty_check on every row of a (B, |G|) coefficient
+    array at once, with a row's VerificationError in place of its result.
+
+    The multiplication matrices come from one scatter over group.table and
+    the weights from one count.  The greedy walk along `order` runs over all
+    rows together: each keeps a boolean cover of G, gathered at
+    group.table[:, g], and keeps g when some x of its support has x*g
+    uncovered.  Each matrix is ranked on its own, by linalg.f2_rank on its
+    rows as Python ints over F_2 and by linalg.rank elsewhere, so that the
+    rank stays independent of the sweeps' word-packed and stacked
+    eliminations."""
+    n, p = group.order, field.p
+    coeffs = np.asarray(coeffs, dtype=np.int64) % p
+    if coeffs.ndim != 2 or coeffs.shape[1] != n:
+        raise ValueError(f"need rows of {n} coefficients, got shape {coeffs.shape}")
+    support = coeffs != 0
+    if not support.any(axis=1).all():
+        raise ValueError("the zero element carries no support bound")
+    order = range(n) if order is None else [int(g) for g in order]
+    if sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of all element indices")
+    # mats[b, x * g_j, j] = coeffs[b, x], f's multiplication matrix for row b
+    mats = np.zeros((len(coeffs), n, n), dtype=np.min_scalar_type(p - 1))
+    mats[:, group.table, np.arange(n)] = coeffs[:, :, None]
+    weights = support.sum(axis=1)
+    covered = np.zeros_like(support)
+    lengths = np.zeros(len(coeffs), dtype=np.int64)
+    for g in order:
+        at = group.table[:, g]  # x -> x * g, a permutation of G
+        lengths += (support & ~covered[:, at]).any(axis=1)
+        covered[:, at] |= support
+    if p == 2:
+        # one Python int per row; np.packbits' bit order is a column
+        # permutation, which leaves the rank alone
+        packed = np.packbits(mats, axis=2)
+        buf, width = packed.tobytes(), packed.shape[2]
+        rows = [int.from_bytes(buf[i : i + width], "big") for i in range(0, len(buf), width)]
+        ranks = [linalg.f2_rank(rows[lo : lo + n]) for lo in range(0, len(rows), n)]
+    else:
+        ranks = [linalg.rank(m, field) for m in mats]
+    out: list[UncertaintyResult | VerificationError] = []
+    for w, rho, t, cover in zip(
+        weights.tolist(), ranks, lengths.tolist(), covered.all(axis=1).tolist()
+    ):
+        if not cover:
+            out.append(VerificationError("greedy pass failed to cover the group"))
+        elif t * w < n:
+            out.append(VerificationError("greedy sequence shorter than the covering bound"))
+        elif rho < t:
+            out.append(VerificationError(f"rank {rho} below greedy escape length {t}"))
+        elif w * rho < n:
+            out.append(VerificationError(f"support-rank product {w * rho} below {n}"))
+        else:
+            out.append(UncertaintyResult(w, rho, t, n))
+    return out
+
+
 def uncertainty_check(f: AlgElem, order: Sequence[int] | None = None) -> UncertaintyResult:
     """Support size times multiplication rank is at least the group order,
     and the rank dominates the greedy escape length of the support.
 
-    The rank is that of f's own multiplication matrix, taken by linalg.rank,
-    or over F_2 by linalg.f2_rank on its rows as Python ints, so that it
-    stays independent of the sweeps' word-packed elimination and tables."""
-    if f.is_zero():
-        raise ValueError("the zero element carries no support bound")
-    n = f.group.order
-    w = f.weight()
-    m = f.multiplication_matrix()
-    if f.field.p == 2:
-        # one Python int per row; the bit order is a column permutation,
-        # which leaves the rank alone
-        rho = linalg.f2_rank(int("".join(map(str, row)), 2) for row in m.tolist())
-    else:
-        rho = linalg.rank(m, f.field)
-    t, _ = greedy_support_rank(f.group, f.support(), order)
-    if rho < t:
-        raise VerificationError(f"rank {rho} below greedy escape length {t}")
-    if w * rho < n:
-        raise VerificationError(f"support-rank product {w * rho} below {n}")
-    return UncertaintyResult(w, rho, t, n)
+    A batch of one through uncertainty_checks, the sweep's audit, raising its
+    error: the rank of f's own multiplication matrix, by linalg.f2_rank over
+    F_2 and linalg.rank elsewhere, independent of the sweeps' kernels."""
+    (result,) = uncertainty_checks(f.group, f.field, f.coeffs[None], order)
+    if isinstance(result, VerificationError):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -316,9 +363,12 @@ def solv_check(code: GCode) -> dict:
 # linear in the digits of f's index: a sum over blocks of s digits (s the
 # largest with p^s <= _TABLE_SIZE) of a term that depends on that block's
 # value alone.  _orbit_tables holds, per block, that term for every block
-# value and every (map, c) pair; the orbit pass splits each chunk of indices
-# into block values once, adds one table row per block and keeps the indices
-# that no column maps lower.  No array over all p^n indices is formed.
+# value and every (map, c) pair.  The orbit pass walks aligned chunks, the p^s
+# indices that share one value of the higher blocks: across a chunk those
+# add one constant row, so a chunk is the lowest block's table plus that row
+# (int32 when p^n < 2^31), a row minimum and a compare, which keeps the
+# indices that no column maps lower.  _minimum_of looks scattered indices up
+# block by block.  No array over all p^n indices is formed.
 #
 # One orbit pass, read through the involution.  The uncertainty sweep's
 # weight, rank, greedy escape lengths and cover verdicts are constant on the
@@ -344,20 +394,24 @@ def solv_check(code: GCode) -> dict:
 # seen so far; g is kept exactly when the union changes at g in some word, and
 # the translates cover the group when the last union is the full mask.
 #
-# Audit.  Every _CROSSCHECK_STRIDE-th f is re-derived through
-# uncertainty_check, which shares no code with the fast path: the rank of f's
-# own multiplication matrix (linalg.f2_rank on Python-int rows over F_2,
-# linalg.rank elsewhere), its weight and its natural-order greedy walk must
-# equal the fast values at m* for m the orbit minimum of f*, read off the
-# table table[inverse] of f -> f* *g_j (at f itself when sampled), so the
-# exhaustive audit also tests the invariance and the involution.  verify_all
-# runs the orbit pass once for the uncertainty sweep and the enumeration,
-# whose ideal list the bound, equality and Schur sections share.
+# Audit.  Every _CROSSCHECK_STRIDE-th f is re-derived, the audited f of a
+# chunk (_AUDIT_BATCH at a time) in one uncertainty_checks call, which shares
+# no code with the fast path: one scatter over group.table builds their
+# multiplication matrices, one count their weights, and the natural-order
+# greedy walk runs over all of them on boolean cover arrays; each matrix is
+# ranked alone, by linalg.f2_rank on Python-int rows over F_2 and by
+# linalg.rank elsewhere.  These must equal the fast values at m* for m the
+# orbit minimum of f*, read off the table table[inverse] of f -> f* *g_j (at
+# f itself when sampled), so the exhaustive audit also tests the invariance
+# and the involution.  verify_all runs the orbit pass once for the
+# uncertainty sweep and the enumeration, whose ideal list the bound,
+# equality and Schur sections share.
 
 _SWEEP_CHUNK = 1 << 10
 _TABLE_SIZE = 1 << 10  # rows of a digit-block lookup table, at most, so p <= it
 _SHUFFLE_SEED = 0  # the second greedy order is this seed's permutation
 _CROSSCHECK_STRIDE = 997  # every f with index divisible by it is re-derived
+_AUDIT_BATCH = 256  # audited f per uncertainty_checks call: bounds its matrix stack
 
 
 _Tables = list[tuple[int, int, np.ndarray]]  # digit-block lookup tables, see _orbit_tables
@@ -487,11 +541,19 @@ def _orbit_minima(table: np.ndarray, p: int) -> np.ndarray:
     """The nonzero orbit minima of the action whose table is given, in
     ascending order; see the comment block above."""
     tables, total = _orbit_tables(table, p), p ** len(table)
+    dtype = np.int32 if total < 1 << 31 else np.int64
+    tables = [(step, sz, t.astype(dtype)) for step, sz, t in tables]
+    (_, size, low), high = tables[0], tables[1:]
+    idx = np.arange(size, dtype=dtype)
+    moved, least = np.empty_like(low), np.empty_like(idx)  # reused by every chunk
     minima = []
-    for lo in range(1, total, _SWEEP_CHUNK):
-        idx = np.arange(lo, min(lo + _SWEEP_CHUNK, total), dtype=np.int64)
-        minima.append(idx[_minimum_of(idx, tables) == idx])
-    return np.concatenate(minima)
+    for base in range(0, total, size):
+        # the higher blocks hold one value across the chunk, so one row is
+        # added, less base: index base + v is a minimum where least[v] == v
+        np.add(low, sum(t[(base // step) % sz] for step, sz, t in high) - base, out=moved)
+        moved.min(axis=1, out=least)
+        minima.append(base + np.flatnonzero(least == idx))
+    return np.concatenate(minima)[1:]  # index 0, the zero element, leads the first chunk
 
 
 def sweep_orbits(group: Group, field: PrimeField) -> SweepOrbits:
@@ -527,7 +589,7 @@ def verify_uncertainty(
     meets every orbit of f -> c*g*f once, at the rank of m: from `orbits`
     when given, else from _reduce one chunk at a time, with no ideal list.
     Sampled mode ranks each sampled f by eliminating its translate matrix.
-    Every _CROSSCHECK_STRIDE-th f is re-verified through uncertainty_check;
+    Every _CROSSCHECK_STRIDE-th f is re-verified through uncertainty_checks;
     see the comment block above.
     """
     n, p = group.order, field.p
@@ -547,12 +609,12 @@ def verify_uncertainty(
         order = np.argsort(at, kind="stable")
         audit, at = audit[order], at[order]
         checked = p**n - 1
-        orbit_of = _orbit_tables(group.inverse[group.table], p)  # m -> (c*m*g_j)*
     else:
-        picks, ranks, orbit_of = _sample_indices(n, p, sample, sample_seed), None, None
+        picks, ranks = _sample_indices(n, p, sample, sample_seed), None
         at = np.flatnonzero(picks % _CROSSCHECK_STRIDE == 0)
         audit, checked = picks[at], len(picks)
     failures: list[tuple[int, str]] = []
+    orbit_of = None
     for lo in range(0, len(picks), _SWEEP_CHUNK):
         idx = picks[lo : lo + _SWEEP_CHUNK]
         digits = _generator_digits(idx, n, p)
@@ -575,29 +637,33 @@ def verify_uncertainty(
                 reason = f"rank {rk[j]} below greedy lengths {t_nat[j]}/{t_shuf[j]}"
             else:
                 reason = f"product {weights[j] * rk[j]} below {n}"
-            orbit = [idx[j]] if orbit_of is None else np.unique(_lookup(idx[j : j + 1], orbit_of))
+            if sample is None and orbit_of is None:  # m -> (c*m*g_j)*, read only here
+                orbit_of = _orbit_tables(group.inverse[group.table], p)
+            orbit = [idx[j]] if sample is not None else np.unique(_lookup(idx[j : j + 1], orbit_of))
             failures += [(f, reason) for f in orbit]
-        for k in range(*np.searchsorted(at, [lo, lo + len(idx)])):
-            j = at[k] - lo
-            if bad[j]:  # reported above, at every f of its orbit
-                continue
-            w, rho = int(weights[j]), int(rk[j])
-            try:
-                ref = uncertainty_check(
-                    AlgElem(group, field, _generator_digits(audit[k : k + 1], n, p)[0])
-                )
-                if (ref.weight, ref.rank) != (w, rho):
-                    raise VerificationError(
+        ks = np.arange(*np.searchsorted(at, [lo, lo + len(idx)]))
+        ks = ks[~bad[at[ks] - lo]]  # a bad f is reported above, at every f of its orbit
+        for a in range(0, len(ks), _AUDIT_BATCH):
+            batch = ks[a : a + _AUDIT_BATCH]
+            refs = uncertainty_checks(group, field, _generator_digits(audit[batch], n, p))
+            for k, ref in zip(batch.tolist(), refs):
+                j = at[k] - lo
+                w, rho = int(weights[j]), int(rk[j])
+                if isinstance(ref, VerificationError):
+                    reason = str(ref)
+                elif (ref.weight, ref.rank) != (w, rho):
+                    reason = (
                         f"fast path disagrees with matrix path: "
                         f"{(w, rho)} vs {(ref.weight, ref.rank)}"
                     )
-                if ref.cover_rank != t_nat[j]:
-                    raise VerificationError(
+                elif ref.cover_rank != t_nat[j]:
+                    reason = (
                         f"mask greedy length {t_nat[j]} disagrees with the "
                         f"greedy walk {ref.cover_rank}"
                     )
-            except VerificationError as exc:
-                failures.append((audit[k], str(exc)))
+                else:
+                    continue
+                failures.append((audit[k], reason))
     failures.sort(key=lambda rec: rec[0])
     return _report(group, field, checked, [{"f": int(f), "reason": r} for f, r in failures])
 

@@ -9,7 +9,7 @@ import numpy as np
 import oracles
 import pytest
 
-from gcodelab import constructions, gcode as gc, groups, linalg, schur, theorems
+from gcodelab import constructions, galg, gcode as gc, groups, linalg, schur, theorems
 from gcodelab.errors import UnsupportedCover
 from gcodelab.ffield import PrimeField
 from gcodelab.galg import AlgElem, translate_weights
@@ -594,8 +594,9 @@ def test_table_masks_match_the_translate_supports(spec, p):
 
 @pytest.mark.parametrize("n", [63, 64, 65, 128])
 def test_uncertainty_check_f2_rank_matches_the_oracle(n):
-    # the audit's rank takes each row as one Python int; these orders put
-    # the rows on either side of 64 bits
+    # the audit's rank takes each row as one Python int, read from the
+    # bytes np.packbits makes of it; these orders end the rows on either
+    # side of a byte and of 64 bits
     group = make_cyclic(n)
     rng = np.random.default_rng(n)
     elems = [
@@ -610,6 +611,95 @@ def test_uncertainty_check_f2_rank_matches_the_oracle(n):
             continue
         want = oracles.rank_mod_p(f.multiplication_matrix().tolist(), 2)
         assert theorems.uncertainty_check(f).rank == want
+
+
+@pytest.mark.parametrize(
+    "spec, p", [("cyclic:63", 2), ("cyclic:64", 2), ("cyclic:65", 2), ("cyclic:128", 2),
+                ("symmetric:5", 3)],
+)
+def test_uncertainty_checks_match_the_oracles_row_for_row(spec, p):
+    # one batch: the rank of each row's matrix by Gaussian elimination over
+    # lists, its weight and its greedy walk one support at a time, along the
+    # natural and a shuffled order
+    group, field = from_spec(spec), PrimeField(p)
+    n = group.order
+    rng = np.random.default_rng(n)
+    coeffs = np.array([
+        rng.integers(0, p, size=n),
+        np.ones(n, dtype=np.int64),  # rank 1
+        np.arange(n) == 0,  # the identity, rank n
+        np.arange(n) < 2,  # 1 + g_1: rank n - 1 on C_n
+        rng.integers(1, p, size=n) * (np.arange(n) % 9 == 4),  # sparse
+    ]).astype(np.int64)
+    ranks = [
+        oracles.rank_mod_p(AlgElem(group, field, c).multiplication_matrix().tolist(), p)
+        for c in coeffs
+    ]
+    for order in (None, [int(g) for g in rng.permutation(n)]):
+        got = theorems.uncertainty_checks(group, field, coeffs, order)
+        assert len(got) == len(coeffs)
+        for c, rank, res in zip(coeffs, ranks, got):
+            support = np.flatnonzero(c).tolist()
+            t, _ = theorems.greedy_support_rank(group, support, order)
+            assert res == (len(support), rank, t, n)
+
+
+@pytest.mark.parametrize("batch", [256, 2])
+@pytest.mark.parametrize("group, field", [(C8, F2), (S3, F3)], ids=["C8-F2", "S3-F3"])
+def test_uncertainty_audit_reports_a_wrong_fast_rank_at_its_f_alone(
+    group, field, batch, monkeypatch
+):
+    # every 7th f is audited, all minima lie in one chunk, so the audited f
+    # go through one uncertainty_checks call (or calls of 2); the rank of one
+    # orbit minimum m is one too high, and the orbit of m* holds a single
+    # audited f, which is the only failure
+    monkeypatch.setattr(theorems, "_CROSSCHECK_STRIDE", 7)
+    monkeypatch.setattr(theorems, "_AUDIT_BATCH", batch)
+    n, p = group.order, field.p
+    orbits = theorems.sweep_orbits(group, field)
+    assert len(orbits.minima) <= theorems._SWEEP_CHUNK and (p**n - 1) // 7 > 30
+    for k, m in enumerate(orbits.minima.tolist()):
+        elem = AlgElem(group, field, [(m // p**i) % p for i in range(n)])
+        orbit = oracles.left_orbit(oracles.star(elem))
+        audited = [f for f in orbit if f % 7 == 0]
+        if len(orbit) > 1 and len(audited) == 1:
+            break
+    (f,) = audited
+    ranks = orbits.ranks.copy()
+    ranks[k] += 1
+    rep = theorems.verify_uncertainty(group, field, orbits=orbits._replace(ranks=ranks))
+    w = AlgElem(group, field, [(f // p**i) % p for i in range(n)]).weight()
+    rank = int(orbits.ranks[k])
+    reason = f"fast path disagrees with matrix path: {(w, rank + 1)} vs {(w, rank)}"
+    assert rep["failures"] == [{"f": f, "reason": reason}]
+
+
+@pytest.mark.parametrize("spec, p", [("cyclic:20", 2), ("dihedral:6", 3)])
+def test_uncertainty_checks_share_no_kernel_with_the_sweep(spec, p, monkeypatch):
+    # the audit ranks its own matrices: none of the sweep's packed words,
+    # stacked eliminations or translate weights
+    group, field = from_spec(spec), PrimeField(p)
+    n = group.order
+    coeffs = theorems._generator_digits(np.arange(997, 40 * 997, 997, dtype=np.int64), n, p)
+    want = [tuple(r) for r in theorems.uncertainty_checks(group, field, coeffs)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the audit reached a sweep kernel")
+
+    for module, name in [(linalg, "f2_rref_stack"), (linalg, "pack_f2"), (linalg, "rref_stack"),
+                         (theorems, "translate_weights"), (theorems, "_reduce")]:
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(galg, "translate_weights", forbidden)
+    assert [tuple(r) for r in theorems.uncertainty_checks(group, field, coeffs)] == want
+
+
+def test_uncertainty_checks_refuse_a_zero_row_and_a_non_permutation():
+    rows = [[1] + [0] * 7, [0] * 8]
+    with pytest.raises(ValueError, match="zero element"):
+        theorems.uncertainty_checks(C8, F2, rows)
+    for order in ([0, 1], [0] * 8, list(range(1, 9))):
+        with pytest.raises(ValueError, match="permutation"):
+            theorems.uncertainty_checks(C8, F2, rows[:1], order)
 
 
 def test_verify_all_enumerates_once(monkeypatch):
