@@ -41,13 +41,14 @@ from .groups import (
     save_group,
     subgroup_generated,
 )
-from .linalg import RowBasis, kernel, rank, rref, subspace_intersect, subspace_sum
+from .linalg import RowBasis, kernel, rank, rref, subspace_intersect
 from .schur import (
     SchurChainReport,
     fixed_point_structure,
     schur_power_chain,
     schur_power_chains,
     schur_product,
+    schur_products,
 )
 from .theorems import (
     EqualityWitness,

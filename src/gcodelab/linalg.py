@@ -301,12 +301,6 @@ def kernel(a, field: PrimeField, width: int | None = None) -> RowBasis:
     return rref(vecs, field, width=ncols)
 
 
-def subspace_sum(a: RowBasis, b: RowBasis) -> RowBasis:
-    _check_compatible(a, b)
-    stacked = np.vstack([a.matrix, b.matrix])
-    return rref(stacked, a.field, width=a.ambient)
-
-
 def subspace_intersect(a: RowBasis, b: RowBasis) -> RowBasis:
     """Intersection via the Zassenhaus block trick, in one reduction.
 

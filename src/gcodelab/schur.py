@@ -12,14 +12,17 @@ dimension profile, the first index where the dimension goes flat, and the
 eventual behaviour of the codes themselves, which may be a fixed code or
 (away from F_2) a cycle of constant-dimension codes.
 
-`schur_product` forms one product: it reduces the product rows and, for the
-meet, the stacked bases.  There is one chain routine, `schur_power_chains`,
-which runs the chains of a list of codes together: each step stacks, for
-every running chain, its product rows (the k(k+1)/2 pairs i <= j for the
-square) with the matrices its checks need, and reduces the stack at once,
-by `linalg.f2_rref_stack` on packed words (a product is the AND of two
-rows) over F_2 and by `linalg.rref_stack` otherwise.  `schur_power_chain` is
-the chain of one code.
+Every product is formed by one step, `_step`.  For a list of (left rows,
+right rows, square) jobs it stacks each job's product rows (only the
+k(k+1)/2 pairs i <= j for a square) and, beside a product that is not a
+square, [left; right] for the meet (a square's meet is the code itself).
+One reduction of the zero-padded stack serves them all: `linalg.f2_rref_stack`
+on packed words (a product is the AND of two rows) over F_2, and
+`linalg.rref_stack` otherwise.  The step checks the bound.
+`schur_products` runs a list of pairs through one step, and `schur_product`
+is a batch of one.  `schur_power_chains` runs the chains of a list of codes
+together, one step per power, and `schur_power_chain` is the chain of one
+code.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ from . import gcode, linalg
 from .errors import VerificationError
 from .ffield import PrimeField
 from .gcode import GCode
-from .groups import Subgroup, same_group
+from .groups import Group, Subgroup, same_group
 
 __all__ = [
     "schur_product",
+    "schur_products",
     "schur_power_chain",
     "schur_power_chains",
     "fixed_point_structure",
@@ -45,21 +49,21 @@ __all__ = [
 
 
 def schur_product(a: GCode, b: GCode) -> GCode:
-    """Span of the pairwise componentwise products of basis rows."""
-    if not same_group(a.group, b.group):
-        raise ValueError("codes live over different groups")
-    if a.field != b.field:
-        raise ValueError(f"modulus mismatch: {a.field.p} vs {b.field.p}")
-    n = a.length
-    rows = (a.basis.matrix[:, None, :] * b.basis.matrix[None, :, :]).reshape(-1, n)
-    out = GCode(a.group, linalg.rref(rows, a.field, width=n))
-    meet = a.dim + b.dim - linalg.subspace_sum(a.basis, b.basis).dim
-    cap = min(n, a.dim * b.dim - meet * (meet - 1) // 2)
-    if out.dim > cap:
-        raise VerificationError(
-            f"product dimension {out.dim} exceeds the bound {cap}"
-        )
-    return out
+    """Span of the pairwise componentwise products of basis rows:
+    `schur_products([(a, b)])`, raising the product's error."""
+    return _raised(schur_products([(a, b)])[0])
+
+
+def schur_products(pairs: Sequence[tuple[GCode, GCode]]) -> list[GCode | Exception]:
+    """The product of each pair, all formed by one step.  The codes share
+    one group and field (ValueError otherwise).  A product that breaks the
+    bound gets its VerificationError in its place, and one that is not an
+    ideal the ValueError of its construction; the other products stand."""
+    if not pairs:
+        return []
+    group, field = _shared([code for pair in pairs for code in pair])
+    jobs = [(_rows(a), _rows(b), a == b) for a, b in pairs]
+    return [_ideal(group, field, product) for product in _step(jobs, field, group.order)]
 
 
 @dataclass
@@ -89,10 +93,7 @@ ChainOutcome = SchurChainReport | VerificationError  # a chain's report or its f
 def schur_power_chain(code: GCode, max_t: int | None = None) -> SchurChainReport:
     """The power chain of one code: `schur_power_chains([code], max_t)`,
     raising the chain's VerificationError."""
-    (chain,) = schur_power_chains([code], max_t)
-    if isinstance(chain, VerificationError):
-        raise chain
-    return chain
+    return _raised(schur_power_chains([code], max_t)[0])
 
 
 def schur_power_chains(
@@ -110,80 +111,56 @@ def schur_power_chains(
     a chain whose check fails gets its VerificationError in place of a
     report, and the other chains run on.
 
-    Step t forms, for every running chain, the products of the (t-1)-th
-    power's rows with the base rows (only the pairs i <= j for the square),
-    and beside them [product; previous power] for the binary ascent and
-    [previous power; base] for the bound's meet (the square's meet is the
-    code itself).  One reduction of their zero-padded stack serves them all,
-    so a step holds every running chain's matrices at once: callers bound
-    that by how many codes they pass.  A repeat is found by the canonical
-    reduced rows, which within one group and field is `GCode.key()`.
+    Step t forms, in one `_step`, the product of every running chain's
+    (t-1)-th power with its base (the square at t = 2), so a step holds
+    every running chain's matrices at once: callers bound that by how many
+    codes they pass.  A new power is checked for the bound, a decrease and,
+    over F_2, the ascent (it contains the previous power), in that order.
+    A repeat is found by the canonical reduced rows, which within one group
+    and field is `GCode.key()`; only a power that is not a repeat gets a
+    RowBasis, and a repeat's ascent is checked on the code it repeats.
     """
     if not codes:
         return []
-    group, field = codes[0].group, codes[0].field
-    for code in codes:
-        if code.is_zero():
-            raise ValueError("power chain needs a nonzero code")
-        if not same_group(code.group, group):
-            raise ValueError("codes live over different groups")
-        if code.field != field:
-            raise ValueError(f"modulus mismatch: {field.p} vs {code.field.p}")
+    if any(code.is_zero() for code in codes):
+        raise ValueError("power chain needs a nonzero code")
+    group, field = _shared(codes)
     n, p = group.order, field.p
-    if max_t is None:
-        max_t = 2 * n + 4
+    max_t = 2 * n + 4 if max_t is None else max_t
     if max_t < 1:
         raise ValueError(f"max_t must be at least 1, not {max_t}")
-    bases = [linalg.pack_f2(c.basis.matrix) if p == 2 else c.basis.matrix for c in codes]
+    bases = [_rows(code) for code in codes]
     powers = list(bases)
     held = [[code] for code in codes]
     seen = [{base.tobytes(): 1} for base in bases]
     cycles: dict[int, int] = {}  # chain -> index of the first repeated power
-    out: list[ChainOutcome | None] = [None] * len(codes)
+    failed: dict[int, VerificationError] = {}
     running = list(range(len(codes)))
     t = 1
     while running and t < max_t:
         t += 1
-        square = t == 2
-        mats = []
-        for i in running:
-            product = _products(powers[i], bases[i], p, square)
-            mats.append(product)
-            if p == 2:
-                mats.append(np.vstack([product, powers[i]]))
-            if not square:
-                mats.append(np.vstack([powers[i], bases[i]]))
-        reduced = iter(_reduce_stack(mats, field, n))
+        jobs = [(powers[i], bases[i], t == 2) for i in running]
         still = []
-        for i in running:
-            nxt = next(reduced)
-            key = nxt.tobytes()
-            ascent = next(reduced) if p == 2 else nxt  # odd p: no ascent to check
-            d, k = len(powers[i]), len(bases[i])
-            meet = k if square else d + k - len(next(reduced))
-            cap = min(n, d * k - meet * (meet - 1) // 2)
-            if len(nxt) > cap:
-                out[i] = VerificationError(
-                    f"product dimension {len(nxt)} exceeds the bound {cap}"
-                )
-            elif len(nxt) < d:
-                out[i] = VerificationError("power dimension decreased along the chain")
-            elif len(ascent) != len(nxt):
-                out[i] = VerificationError("binary power chain failed to ascend")
-            elif key in seen[i]:
-                cycles[i] = seen[i][key]
+        for i, nxt in zip(running, _step(jobs, field, n)):
+            if isinstance(nxt, VerificationError):
+                failed[i] = nxt
+                continue
+            if len(nxt) < len(powers[i]):
+                failed[i] = VerificationError("power dimension decreased along the chain")
+                continue
+            repeat = seen[i].get(nxt.tobytes())
+            new = held[i][repeat - 1].basis if repeat else _basis(nxt, field, n)
+            if p == 2 and not new.contains_rows(held[i][-1].basis.matrix):
+                failed[i] = VerificationError("binary power chain failed to ascend")
+            elif repeat:
+                cycles[i] = repeat
             else:
-                seen[i][key] = t
-                rows = linalg.unpack_f2(nxt, n) if p == 2 else nxt
-                pivots = (rows != 0).argmax(axis=1)
-                held[i].append(GCode(group, linalg.RowBasis(rows, pivots, field)))
+                seen[i][nxt.tobytes()] = t
+                held[i].append(GCode(group, new))
                 powers[i] = nxt
                 still.append(i)
         running = still
-    for i, chain in enumerate(held):
-        if out[i] is None:
-            out[i] = _report(chain, cycles.get(i))
-    return out
+    return [failed.get(i) or _report(chain, cycles.get(i)) for i, chain in enumerate(held)]
 
 
 def _report(codes: list[GCode], cycle_start: int | None) -> ChainOutcome:
@@ -204,6 +181,52 @@ def _report(codes: list[GCode], cycle_start: int | None) -> ChainOutcome:
     return SchurChainReport(dims, regularity, period, stabilized, stabilizer, True, codes)
 
 
+def _raised(outcome):
+    """The outcome, raised when it is an error."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _shared(codes: Sequence[GCode]) -> tuple[Group, PrimeField]:
+    """The group and field of the codes; ValueError when two codes differ."""
+    group, field = codes[0].group, codes[0].field
+    for code in codes:
+        if not same_group(code.group, group):
+            raise ValueError("codes live over different groups")
+        if code.field != field:
+            raise ValueError(f"modulus mismatch: {field.p} vs {code.field.p}")
+    return group, field
+
+
+def _step(jobs: list[tuple[np.ndarray, np.ndarray, bool]], field: PrimeField, n: int):
+    """Yield each (left, right, square) job's product as its canonical RREF
+    rows (packed words over F_2), or the VerificationError of a product
+    above the bound.  One reduction of a zero-padded stack holds every
+    job's product rows and, when the job is not a square, [left; right]
+    for the meet: linalg.f2_rref_stack over F_2, linalg.rref_stack
+    otherwise."""
+    p = field.p
+    mats = []
+    for left, right, square in jobs:
+        mats.append(_products(left, right, p, square))
+        if not square:
+            mats.append(np.vstack([left, right]))
+    stack = np.zeros((len(mats), max(map(len, mats)), mats[0].shape[1]), dtype=mats[0].dtype)
+    for slot, m in enumerate(mats):
+        stack[slot, : len(m)] = m
+    reduced, ranks = linalg.f2_rref_stack(stack, n) if p == 2 else linalg.rref_stack(stack, field)
+    rows = iter(reduced[slot, :rank] for slot, rank in enumerate(ranks.tolist()))
+    for left, right, square in jobs:
+        product = next(rows).copy()  # a held power must not keep the stack
+        d, k = len(left), len(right)
+        meet = k if square else d + k - len(next(rows))
+        cap = min(n, d * k - meet * (meet - 1) // 2)
+        if len(product) > cap:
+            product = VerificationError(f"product dimension {len(product)} exceeds the bound {cap}")
+        yield product
+
+
 def _products(power: np.ndarray, base: np.ndarray, p: int, square: bool) -> np.ndarray:
     """Rows of the componentwise products power[i] * base[j], over F_2 as an
     AND of packed words; for the square (power is base) only i <= j."""
@@ -216,18 +239,26 @@ def _products(power: np.ndarray, base: np.ndarray, p: int, square: bool) -> np.n
     return rows.reshape(-1, base.shape[1])
 
 
-def _reduce_stack(mats: list[np.ndarray], field: PrimeField, ncols: int) -> list[np.ndarray]:
-    """The canonical RREF rows of each matrix (packed words over F_2), by one
-    reduction of their zero-padded stack: linalg.f2_rref_stack over F_2,
-    linalg.rref_stack otherwise."""
-    stack = np.zeros((len(mats), max(map(len, mats)), mats[0].shape[1]), dtype=mats[0].dtype)
-    for slot, m in enumerate(mats):
-        stack[slot, : len(m)] = m
+def _rows(code: GCode) -> np.ndarray:
+    """The code's basis rows as `_step` takes them: packed words over F_2."""
+    return linalg.pack_f2(code.basis.matrix) if code.field.p == 2 else code.basis.matrix
+
+
+def _basis(rows: np.ndarray, field: PrimeField, n: int) -> linalg.RowBasis:
+    """The RowBasis of canonical reduced rows (packed words over F_2)."""
     if field.p == 2:
-        reduced, ranks = linalg.f2_rref_stack(stack, ncols)
-    else:
-        reduced, ranks = linalg.rref_stack(stack, field)
-    return [reduced[slot, :rank].copy() for slot, rank in enumerate(ranks.tolist())]
+        rows = linalg.unpack_f2(rows, n)
+    return linalg.RowBasis(rows, (rows != 0).argmax(axis=1), field)
+
+
+def _ideal(group: Group, field: PrimeField, product) -> GCode | Exception:
+    """The GCode of a product's rows, or the error that stops it."""
+    if isinstance(product, VerificationError):
+        return product
+    try:
+        return GCode(group, _basis(product, field, group.order))
+    except ValueError as exc:
+        return exc
 
 
 def fixed_point_structure(code: GCode) -> Subgroup:

@@ -778,6 +778,7 @@ def verify_equality(
 
 _PAIRWISE_PRODUCT_CAP = 8  # group order up to which all ideal pairs are multiplied
 _CHAIN_BATCH = 16  # ideals whose power chains run together: bounds the stacks and powers held
+_PAIR_BATCH = 256  # ideal pairs whose products are formed together: bounds the stack
 
 
 def verify_schur(
@@ -792,7 +793,10 @@ def verify_schur(
     Each ideal gets one power chain, to the end over F_2 and to the square
     elsewhere; schur.schur_power_chains runs the chains of _CHAIN_BATCH
     ideals at a time.  A chain that stops at once with period 1 has met a
-    Schur-fixed code, whose square is itself."""
+    Schur-fixed code, whose square is itself.  The pairwise products go
+    through schur.schur_products, _PAIR_BATCH pairs at a time; each is
+    checked against the dimension bound and for being an ideal, and a
+    failure is reported under the pair's two generator indices."""
     if ideals is None:
         ideals = enumerate_cyclic_ideals(group, field)
     binary = field.p == 2
@@ -820,15 +824,13 @@ def verify_schur(
 
     report = _each_ideal(group, field, chained(), check)
     if group.order <= _PAIRWISE_PRODUCT_CAP:
-        for i, (fi, a) in enumerate(ideals):
-            for fj, b in ideals[i:]:
-                try:
-                    schur.schur_product(a, b)  # closure asserted at construction
-                except (VerificationError, ValueError) as exc:
-                    report["failures"].append(
-                        {"f": (fi, fj), "reason": f"pairwise product: {exc}"}
-                    )
-                report["checked"] += 1
+        pairs = [((fi, fj), (a, b)) for i, (fi, a) in enumerate(ideals) for fj, b in ideals[i:]]
+        for lo in range(0, len(pairs), _PAIR_BATCH):
+            batch = pairs[lo : lo + _PAIR_BATCH]
+            for (f, _), product in zip(batch, schur.schur_products([ab for _, ab in batch])):
+                if isinstance(product, Exception):
+                    report["failures"].append({"f": f, "reason": f"pairwise product: {product}"})
+            report["checked"] += len(batch)
     return report
 
 

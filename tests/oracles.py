@@ -355,12 +355,40 @@ def golay_scan_unfiltered(budget, seed, chunk=1 << 12):
     return None
 
 
+def schur_product_by_rref(a, b):
+    """The Schur product of two codes as `schur.schur_product` formed it
+    before every product went through one stacked step, kept as its
+    reference: `linalg.rref` of all k*k' product rows, and the meet's
+    dimension from `rank_mod_p` of the stacked bases.  Same checks, errors
+    and messages: ValueError for codes over different groups or fields and
+    for a span that is not an ideal, VerificationError above the bound."""
+    from gcodelab import linalg
+    from gcodelab.errors import VerificationError
+    from gcodelab.gcode import GCode
+    from gcodelab.groups import same_group
+
+    if not same_group(a.group, b.group):
+        raise ValueError("codes live over different groups")
+    if a.field != b.field:
+        raise ValueError(f"modulus mismatch: {a.field.p} vs {b.field.p}")
+    n = a.length
+    rows = (a.basis.matrix[:, None, :] * b.basis.matrix[None, :, :]).reshape(-1, n)
+    out = GCode(a.group, linalg.rref(rows, a.field, width=n))
+    both = a.basis.matrix.tolist() + b.basis.matrix.tolist()
+    meet = a.dim + b.dim - rank_mod_p(both, a.field.p)
+    cap = min(n, a.dim * b.dim - meet * (meet - 1) // 2)
+    if out.dim > cap:
+        raise VerificationError(f"product dimension {out.dim} exceeds the bound {cap}")
+    return out
+
+
 def power_chain_by_products(code, max_t=None):
     """(dims, regularity, period, complete, code keys, stabilizer members or
-    None) of the power chain of one code, each power one `schur_product` of
-    the last power with the code and each step checked on the GCodes it
-    made: the loop `schur_power_chain` ran before the chains were batched,
-    kept as their reference.  Raises the step's VerificationError."""
+    None) of the power chain of one code, each power one
+    `schur_product_by_rref` of the last power with the code and each step
+    checked on the GCodes it made: the loop `schur_power_chain` ran before
+    the chains were batched, kept as their reference.  Raises the step's
+    VerificationError."""
     from gcodelab import schur
     from gcodelab.errors import VerificationError
 
@@ -368,7 +396,7 @@ def power_chain_by_products(code, max_t=None):
         max_t = 2 * code.length + 4
     codes, seen = [code], {code.key(): 1}
     while len(codes) < max_t:
-        nxt = schur.schur_product(codes[-1], code)
+        nxt = schur_product_by_rref(codes[-1], code)
         if nxt.dim < codes[-1].dim:
             raise VerificationError("power dimension decreased along the chain")
         if code.field.p == 2 and not codes[-1].issubset(nxt):

@@ -45,17 +45,6 @@ def test_kernel_examples():
     assert linalg.kernel([[1, 2]], F3).matrix.tolist() == [[1, 1]]
 
 
-def test_subspace_sum_examples():
-    e1 = linalg.rref([[1, 0]], F3)
-    e2 = linalg.rref([[0, 1]], F3)
-    assert linalg.subspace_sum(e1, e2).dim == 2
-    v = linalg.rref([[1, 2], [0, 0]], F3)
-    assert linalg.subspace_sum(v, v) == v
-    a = linalg.rref([[1, 1]], F3)
-    b = linalg.rref([[1, 2]], F3)
-    assert linalg.subspace_sum(a, b).dim == 2
-
-
 def test_subspace_intersect_examples():
     v = linalg.rref([[1, 0, 1], [0, 1, 1]], F2)
     assert linalg.subspace_intersect(v, v) == v
@@ -124,7 +113,7 @@ def test_mismatch_errors():
     a = linalg.rref([[1, 0]], F2)
     b = linalg.rref([[1, 0]], F3)
     with pytest.raises(ValueError):
-        linalg.subspace_sum(a, b)
+        linalg.subspace_intersect(a, b)
     c = linalg.rref([[1, 0, 0]], F2)
     with pytest.raises(ValueError):
         linalg.subspace_intersect(a, c)
@@ -156,7 +145,8 @@ def test_sum_intersect_dimension_formula_fuzz(case, seed2):
     field = PrimeField(p)
     a = linalg.rref(np.random.default_rng(seed).integers(0, p, size=(rows, cols)), field)
     b = linalg.rref(np.random.default_rng(seed2).integers(0, p, size=(rows, cols)), field)
-    total = linalg.subspace_sum(a, b).dim + linalg.subspace_intersect(a, b).dim
+    both = a.matrix.tolist() + b.matrix.tolist()
+    total = oracles.rank_mod_p(both, p) + linalg.subspace_intersect(a, b).dim
     assert total == a.dim + b.dim
 
 

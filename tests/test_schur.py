@@ -13,6 +13,7 @@ from gcodelab.groups import (
     make_cyclic,
     make_dihedral,
     make_elementary_abelian,
+    make_quaternion8,
     make_symmetric,
 )
 from gcodelab.theorems import enumerate_cyclic_ideals
@@ -26,7 +27,7 @@ def test_product_examples():
     code = gc.trivial_induced(C4, F2, Subgroup(C4, [0, 2]))
     zero = gc.zero_code(C4, F2)
     assert schur.schur_product(code, zero).dim == 0
-    # an empty product stack carries its width into the reduction and the sum
+    # an empty product stack carries its width into the reduction and the meet
     assert schur.schur_product(zero, zero) == zero
 
     line = gc.ideal_from_generators(C2, F3, [AlgElem(C2, F3, [1, 2])])
@@ -34,6 +35,32 @@ def test_product_examples():
     assert square.basis.matrix.tolist() == [[1, 1]]
 
     assert schur.schur_product(code, code) == code
+
+
+@pytest.mark.parametrize(
+    "spec, p",
+    [
+        ("cyclic:8", 2),
+        ("elemabelian:2,3", 2),
+        ("quaternion8", 2),
+        ("symmetric:3", 3),
+        ("cyclic:6", 3),
+        ("dihedral:4", 3),
+    ],
+)
+def test_products_match_the_rref_oracle(spec, p):
+    # one batch of every pair of cyclic ideals and the zero code mixes the
+    # squares with the other products; the swapped pairs are a second batch
+    group, field = from_spec(spec), PrimeField(p)
+    codes = [code for _, code in enumerate_cyclic_ideals(group, field)]
+    codes.append(gc.zero_code(group, field))
+    pairs = [(a, b) for i, a in enumerate(codes) for b in codes[i:]]
+    expected = [oracles.schur_product_by_rref(a, b) for a, b in pairs]
+    assert schur.schur_products(pairs) == expected
+    assert schur.schur_products([(b, a) for a, b in pairs]) == expected
+    squares = [(code, code) for code in codes]
+    assert schur.schur_products(squares) == [oracles.schur_product_by_rref(*ab) for ab in squares]
+    assert schur.schur_products([]) == []
 
 
 def test_product_meets_its_bound_with_equality():
@@ -64,6 +91,34 @@ def test_product_mismatch_errors():
     c = gc.full_algebra(C4, F2)
     with pytest.raises(ValueError):
         schur.schur_product(a, c)
+
+
+def test_products_refuse_mixed_codes_and_report_each_failure_in_place(monkeypatch):
+    a = gc.full_algebra(C2, F2)
+    with pytest.raises(ValueError, match="modulus mismatch: 2 vs 3"):
+        schur.schur_products([(a, a), (a, gc.full_algebra(C2, F3))])
+    with pytest.raises(ValueError, match="different groups"):
+        schur.schur_products([(a, a), (gc.full_algebra(C4, F2), a)])
+    # the all-ones line times the even-weight code is read as the full
+    # algebra, above the bound 3, and the full algebra times the line as
+    # e_0, not an ideal; the squares between them stand
+    ones = gc.ideal_from_generators(C4, F2, [AlgElem.all_ones(C4, F2)])
+    even = gc.augmentation_ideal(C4, F2)
+    full = gc.full_algebra(C4, F2)
+    eye = np.eye(4, dtype=np.int64)
+    fakes = iter([eye, eye[:1]])
+    products = schur._products
+
+    def faked(power, base, p, square):
+        return products(power, base, p, square) if square else linalg.pack_f2(next(fakes))
+
+    monkeypatch.setattr(schur, "_products", faked)
+    outcomes = schur.schur_products([(full, full), (ones, even), (even, even), (full, ones)])
+    assert outcomes[0] == full and outcomes[2] == full
+    assert isinstance(outcomes[1], VerificationError)
+    assert str(outcomes[1]) == "product dimension 4 exceeds the bound 3"
+    assert type(outcomes[3]) is ValueError
+    assert str(outcomes[3]) == "basis does not span a right ideal"
 
 
 def test_product_closure_and_dimension_bound_sweep():
@@ -336,6 +391,49 @@ def test_a_failing_chain_is_reported_at_its_own_ideal(monkeypatch):
     assert report["checked"] == len(ideals)
     assert report["failures"] == [
         {"f": fidx, "reason": broken[code.dim][1]} for fidx, code in ideals if code.dim in broken
+    ]
+
+
+def test_a_failing_pairwise_product_is_reported_at_its_own_pair(monkeypatch):
+    # Q8/F2 lies under the pairwise cap.  Two products of a 2-dim ideal with
+    # a 4-dim one are read as spans that break the bound and that are no
+    # ideal; a chain step multiplies a power of at least the base's
+    # dimension, so no chain meets the fakes, and the other pairs must not
+    # notice
+    group = make_quaternion8()
+    ideals = enumerate_cyclic_ideals(group, F2)
+    assert group.order <= theorems._PAIRWISE_PRODUCT_CAP
+
+    def outside(a, b):
+        raise AssertionError("a product outside the batched steps")
+
+    monkeypatch.setattr(schur, "schur_product", outside)
+    clean = theorems.verify_schur(group, F2, ideals=ideals)
+    assert clean["failures"] == []
+    assert clean["checked"] == len(ideals) * (len(ideals) + 3) // 2
+    codes = dict(ideals)
+    eye = np.eye(8, dtype=np.int64)
+    broken = {
+        (15, 85): (eye, "product dimension 8 exceeds the bound 7"),
+        (51, 86): (eye[:1], "basis does not span a right ideal"),
+    }
+    fakes = {}
+    for (fi, fj), (rows, _) in broken.items():
+        a, b = codes[fi], codes[fj]
+        assert (a.dim, b.dim, linalg.subspace_intersect(a.basis, b.basis).dim) == (2, 4, 2)
+        key = (linalg.pack_f2(a.basis.matrix).tobytes(), linalg.pack_f2(b.basis.matrix).tobytes())
+        fakes[key] = linalg.pack_f2(rows)
+    products = schur._products
+
+    def faked(power, base, p, square):
+        fake = None if square else fakes.get((power.tobytes(), base.tobytes()))
+        return products(power, base, p, square) if fake is None else fake
+
+    monkeypatch.setattr(schur, "_products", faked)
+    report = theorems.verify_schur(group, F2, ideals=ideals)
+    assert report["checked"] == clean["checked"]
+    assert report["failures"] == [
+        {"f": f, "reason": f"pairwise product: {reason}"} for f, (_, reason) in broken.items()
     ]
 
 
