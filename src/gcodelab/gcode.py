@@ -2,12 +2,15 @@
 
 A GCode owns a canonical RowBasis of width |G|; construction verifies closure
 under right translation by the group's generators, so an existing GCode is an
-ideal by construction.  Minimum distance is exact, by full codeword
-enumeration behind a guard (never an approximation): every codeword is the
-sum of a word spanned by the top half of the basis and one spanned by the
-bottom half, so the scan builds the two spans once and combines them block
-by block.  A GCode is immutable, so it scans its codewords at most once and
-keeps the result.
+ideal by construction.  Minimum distance is exact, by codeword enumeration
+behind a guard on all p^k codewords (never an approximation): every codeword
+is the sum of a word spanned by the top half of the basis and one spanned by
+the bottom half, so the scan builds the two spans once and combines them
+block by block.  Right translation is transitive on the coordinates and
+column 0 is row 0's pivot, so some minimum-weight word has leading message
+digit 1: the scan reads those p^(k-1) messages for d, then the leading-0
+messages, which come first, only up to the first word of weight d.  A GCode
+is immutable, so it scans its codewords at most once and keeps the result.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ class GCode:
     # --- parameters ---
 
     def min_distance(self, guard: int | None = None) -> int:
-        """Exact minimum weight of a nonzero codeword, by full enumeration."""
+        """Exact minimum weight of a nonzero codeword, by enumeration behind the
+        guard on all p^k codewords."""
         return self._minimum(guard)[0]
 
     def min_weight_codeword(self, guard: int | None = None) -> AlgElem:
@@ -147,27 +151,73 @@ class GCode:
         return ParamReport(n, k, d, product, True, product == n)
 
 
+def _min_weight(rows: np.ndarray, p: int) -> int:
+    """Minimum weight of a nonzero codeword.  The rows must be the RREF basis
+    of a nonzero right ideal: right translation by G is transitive on the
+    coordinates, so a minimum word w with x in its support gives the minimum
+    word w·(x⁻¹·g₀), scaled so that its column-0 entry, its leading message
+    digit, is 1.  Only those messages, 1/p of them, are scanned."""
+    lead = _lead(rows, p)
+    return _blocks(*_spans(rows, p), lead, 2 * lead, rows.shape[1], p, 1)[0]
+
+
 def _split_scan(rows: np.ndarray, p: int) -> tuple[int, int]:
-    """(minimum weight, first message index reaching it) over every nonzero
-    message of the k rows; message index i has the base-p digits of i as
-    coefficients, row 0's most significant.  Message hi * p^b + lo
-    (b = floor(k/2)) encodes to span(top rows)[hi] + span(bottom rows)[lo],
-    so scanning the combined spans block by block, each block in row-major
-    order, visits the messages in index order.  A later block replaces the
-    best only on a strictly smaller weight: the first minimum is kept."""
-    k, n = rows.shape
+    """(minimum weight, first message index reaching it); message index i
+    has the base-p digits of i as coefficients, row 0's most significant.
+    The rows must be the RREF basis of a nonzero right ideal.  The messages
+    with leading digit 1 reach the minimum d (see `_min_weight`); those with
+    leading digit 0 come before them in index order, so they are scanned
+    next, up to the first block that reaches d, and a word of weight d among
+    them comes first.  At most 2/p of the messages are read."""
+    lead, n = _lead(rows, p), rows.shape[1]
+    spans = _spans(rows, p)
+    d, first = _blocks(*spans, lead, 2 * lead, n, p, 1)
+    weight, index = _blocks(*spans, 0, lead, n, p, d)
+    return d, (index if weight == d else first)
+
+
+def _lead(rows: np.ndarray, p: int) -> int:
+    """p^(ceil(k/2) - 1): top-span indices lead..2*lead-1 are the messages
+    whose leading digit is 1.  Raises ValueError unless column 0 is row 0's
+    pivot, which makes a message's leading digit its word's column-0 entry."""
+    k = rows.shape[0]
+    if k == 0 or rows[0, 0] != 1 or rows[1:, 0].any():
+        raise ValueError("column 0 must be row 0's pivot")
+    return p ** (k - k // 2 - 1)
+
+
+def _spans(rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spans of the top ceil(k/2) rows and of the other rows: message
+    hi * p^(floor(k/2)) + lo encodes to top[hi] + bottom[lo], so message
+    index order is row-major order over (top, bottom)."""
+    k = rows.shape[0]
     if p == 2:
         rows = linalg.pack_f2(rows)
     else:
         rows = rows.astype(np.min_scalar_type(2 * (p - 1)))
     split = k - k // 2
-    top, bottom = _span(rows[:split], p), _span(rows[split:], p)
+    return _span(rows[:split], p), _span(rows[split:], p)
+
+
+def _blocks(
+    top: np.ndarray, bottom: np.ndarray, lo: int, hi: int, n: int, p: int, stop: int
+) -> tuple[int, int]:
+    """(least weight, first message index reaching it) over the messages
+    top[lo:hi] x bottom, or (n + 1, 0) if they hold no nonzero message.
+    Blocks of top rows are combined with all of bottom in message order, and
+    a later block replaces the best only on a strictly smaller weight, so the
+    first minimum is kept.  The scan ends after the first block whose least
+    weight is at most `stop`."""
     step = max(1, _BLOCK // bottom.size)
     best = (n + 1, 0)
-    for start in range(0, len(top), step):
-        block = top[start : start + step, None]
+    for start in range(lo, hi, step):
+        block = top[start : min(start + step, hi), None]
         if p == 2:
-            weights = np.bitwise_count(block ^ bottom).sum(axis=2, dtype=np.int64)
+            # uint8 counts per word, summed as uint16 (n <= ORDER_CAP) only
+            # when a row spans more than one word
+            weights = np.bitwise_count(block ^ bottom)
+            if weights.shape[2] > 1:
+                weights = weights.sum(axis=2, dtype=np.uint16)
         else:
             weights = np.count_nonzero((block + bottom) % p, axis=2)
         if start == 0:
@@ -175,6 +225,8 @@ def _split_scan(rows: np.ndarray, p: int) -> tuple[int, int]:
         j = int(np.argmin(weights))
         if weights.flat[j] < best[0]:
             best = (int(weights.flat[j]), start * len(bottom) + j)
+            if best[0] <= stop:
+                break
     return best
 
 

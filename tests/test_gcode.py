@@ -164,12 +164,19 @@ def test_min_distance_env_guard(monkeypatch):
         gc.full_algebra(C4, F2).min_distance()
 
 
+def full_scan(rows, p):
+    """The block loop over every message of arbitrary rows, not only of an
+    ideal's basis: (least weight, first index) as `min_scan_chunked` gives."""
+    top, bottom = gc._spans(rows, p)
+    return gc._blocks(top, bottom, 0, len(top), rows.shape[1], p, 0)
+
+
 def test_min_scan_is_deterministic_across_blocks():
     # 2^18 messages of 70 bits (two words) span four combining blocks of
     # 2^16; the minimum weight 17 is reached in the second block and again
     # in the fourth, and the first of the two must win
     rows = np.random.default_rng(8).integers(0, 2, size=(18, 70))
-    assert gc._split_scan(rows, 2) == oracles.min_scan_chunked(rows, 2) == (17, 92876)
+    assert full_scan(rows, 2) == oracles.min_scan_chunked(rows, 2) == (17, 92876)
     # a code keeps its first scan, so a fresh code object must reach the same answer
     one, two = (gc.augmentation_ideal(make_cyclic(16), F2) for _ in range(2))
     assert one.min_distance() == two.min_distance() == 2
@@ -195,21 +202,82 @@ def scan_cases(draw):
 @given(scan_cases())
 def test_split_scan_matches_the_chunked_scan_and_the_oracle(case):
     rows, p = case
-    got = gc._split_scan(rows, p)
+    got = full_scan(rows, p)
     assert got == oracles.min_scan_chunked(rows, p)
     if p ** rows.shape[0] * rows.shape[1] <= 1 << 14:
         assert got[0] == oracles.min_distance_scan(rows.tolist(), p)
 
 
 def test_split_scan_on_every_acceptance_sweep_ideal():
-    checked = 0
+    checked, leading = 0, set()
     for specs, field in ((SWEEP_F2, F2), (SWEEP_F3, F3)):
         for spec in specs:
             for _, code in enumerate_cyclic_ideals(from_spec(spec), field):
                 ref = oracles.min_scan_chunked(code.basis.matrix, field.p)
                 assert code._min_scan() == ref
+                assert gc._min_weight(code.basis.matrix, field.p) == ref[0]
+                leading.add(ref[1] // field.p ** (code.dim - 1))
                 checked += 1
     assert checked == 154
+    # first minima among the leading-0 messages and among the leading-1 ones
+    assert leading == {0, 1}
+
+
+IDEAL_SCAN_GROUPS = (
+    ("cyclic:7", 7), ("symmetric:3", 5), ("cyclic:9", 3), ("symmetric:4", 3),
+    ("dihedral:5", 2), ("quaternion8", 2), ("cyclic:65", 2), ("cyclic:128", 2),
+)
+
+
+@st.composite
+def ideal_scan_cases(draw):
+    """A right ideal of at most 2^16 codewords from one or two random
+    generators.  A generator too large is multiplied on the left by x - 1 or
+    by the element sum of <x>, for random x: s·f·F[G] is the image of
+    f·F[G] under a linear map, so its dimension never grows.  C65 and C128
+    give rows of two words."""
+    spec, p = draw(st.sampled_from(IDEAL_SCAN_GROUPS))
+    group, field = from_spec(spec), PrimeField(p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        gen = AlgElem(group, field, rng.integers(0, p, group.order))
+        for _ in range(12):
+            if p ** gc.ideal_from_generators(group, field, [gen]).dim <= 1 << 16:
+                break
+            x = int(rng.integers(1, group.order))
+            if rng.random() < 0.5:
+                left = AlgElem.basis_elem(group, field, x) + AlgElem.basis_elem(
+                    group, field, 0
+                ).scale(p - 1)
+            else:
+                members = list(groups.subgroup_generated(group, [x]))
+                left = AlgElem(group, field, np.isin(np.arange(group.order), members))
+            if not (left * gen).is_zero():
+                gen = left * gen
+        gens.append(gen)
+    code = gc.ideal_from_generators(group, field, gens)
+    if code.dim == 0 or p**code.dim > 1 << 16:
+        code = gc.ideal_from_generators(group, field, gens[:1])
+    if code.dim == 0 or p**code.dim > 1 << 16:  # the repetition code
+        code = gc.ideal_from_generators(group, field, [AlgElem.all_ones(group, field)])
+    return code
+
+
+@settings(max_examples=120, deadline=None)
+@given(ideal_scan_cases())
+def test_ideal_scan_matches_the_chunked_scan(code):
+    rows, p = code.basis.matrix, code.field.p
+    got = code._min_scan()
+    assert got == oracles.min_scan_chunked(rows, p)
+    assert gc._min_weight(rows, p) == got[0]
+
+
+def test_scan_needs_column_0_as_row_0_pivot():
+    for rows in ([[0, 1, 1]], [[1, 1, 0], [1, 0, 1]], [[2, 1, 0]], np.zeros((0, 3), int)):
+        for scan in (gc._split_scan, gc._min_weight):
+            with pytest.raises(ValueError, match="column 0 must be row 0's pivot"):
+                scan(np.array(rows, dtype=np.int64).reshape(-1, 3), 3)
 
 
 def test_rm_2_6_scan_is_pinned_and_fast(tmp_path, capsys):
@@ -222,7 +290,9 @@ def test_rm_2_6_scan_is_pinned_and_fast(tmp_path, capsys):
     elapsed = time.perf_counter() - t0
     out = json.loads(capsys.readouterr().out)
     assert rc == 0 and (out["n"], out["k"], out["d"]) == (64, 22, 16)
-    assert elapsed < 2.0  # 2^22 codewords: about 12 s by one digit matmul per message
+    # 2^21 messages with leading digit 1, then one block of leading-0 ones;
+    # one digit matmul per message over all 2^22 took about 12 s
+    assert elapsed < 2.0
 
 
 def test_min_scan_runs_once_per_code(monkeypatch):
