@@ -189,25 +189,27 @@ def _lead(rows: np.ndarray, p: int) -> int:
 def _spans(rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The spans of the top ceil(k/2) rows and of the other rows: message
     hi * p^(floor(k/2)) + lo encodes to top[hi] + bottom[lo], so message
-    index order is row-major order over (top, bottom)."""
+    index order is row-major order over (top, bottom).  Over odd p the top
+    span is returned negated (the span of the negated rows), so a word is
+    zero exactly where its two span entries are equal."""
     k = rows.shape[0]
+    split = k - k // 2
     if p == 2:
         rows = linalg.pack_f2(rows)
-    else:
-        rows = rows.astype(np.min_scalar_type(2 * (p - 1)))
-    split = k - k // 2
-    return _span(rows[:split], p), _span(rows[split:], p)
+        return _span(rows[:split], p), _span(rows[split:], p)
+    rows = rows.astype(np.min_scalar_type(2 * (p - 1)))
+    return _span((p - rows[:split]) % p, p), _span(rows[split:], p)
 
 
 def _blocks(
     top: np.ndarray, bottom: np.ndarray, lo: int, hi: int, n: int, p: int, stop: int
 ) -> tuple[int, int]:
     """(least weight, first message index reaching it) over the messages
-    top[lo:hi] x bottom, or (n + 1, 0) if they hold no nonzero message.
-    Blocks of top rows are combined with all of bottom in message order, and
-    a later block replaces the best only on a strictly smaller weight, so the
-    first minimum is kept.  The scan ends after the first block whose least
-    weight is at most `stop`."""
+    top[lo:hi] x bottom of `_spans`, or (n + 1, 0) if they hold no nonzero
+    message.  Blocks of top rows are combined with all of bottom in message
+    order, and a later block replaces the best only on a strictly smaller
+    weight, so the first minimum is kept.  The scan ends after the first
+    block whose least weight is at most `stop`."""
     step = max(1, _BLOCK // bottom.size)
     best = (n + 1, 0)
     for start in range(lo, hi, step):
@@ -219,7 +221,7 @@ def _blocks(
             if weights.shape[2] > 1:
                 weights = weights.sum(axis=2, dtype=np.uint16)
         else:
-            weights = np.count_nonzero((block + bottom) % p, axis=2)
+            weights = np.count_nonzero(block != bottom, axis=2)
         if start == 0:
             weights[0, 0] = n + 1  # the zero message
         j = int(np.argmin(weights))

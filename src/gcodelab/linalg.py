@@ -15,7 +15,10 @@ there are two bit-packed layers.  A packed row is ceil(c/64) little-endian
 uint64 words (bit c % 64 of word c // 64 is column c): the F_2 sweeps build
 their translate rows in that form directly (galg.translate_weights) and
 reduce them with `f2_rref_stack`, one XOR per cleared row; `pack_f2` packs
-the rows the minimum-distance scan XORs and counts.  The seeded ideal search
+the rows the minimum-distance scan XORs and counts.  Both stack kernels
+return their rows in the form they worked in (packed words, or the narrowest
+integer dtype that held the reduction), and `reduced_basis` is the one
+conversion of such rows to a RowBasis.  The seeded ideal search
 keeps one Python int per row (bit c = column c) in `f2_rank`/`f2_rref` and
 unpacks the reduced rows with numpy shifts.  `f2_rank` is also the
 independent F_2 rank of the uncertainty sweep's audit
@@ -198,14 +201,15 @@ def rref_stack(stack, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
     gives for stack[b], row for row, and the remaining rows are zero.  The
     pivot choice is the one of `rref` (leftmost column, topmost row), made
     for all B matrices at once, column by column.  The stack may have any
-    integer dtype that holds p (digits can come in as bytes); the result is
-    int64.
+    integer dtype that holds p (digits can come in as bytes); the result
+    keeps the work dtype below.
 
     Only the pivot column and the pivot rows are reduced mod p as the pass
     goes; every other entry changes by at most (p-1)^2 per column, so the
     entries stay within (p-1) + c*(p-1)^2 and the work dtype is the smallest
-    one that holds that bound.  One reduction at the end makes all canonical.
-    This is the reference `f2_rref_stack` is tested against over F_2.
+    one that holds that bound (int16 for p = 3 up to 8,191 columns).  One
+    reduction at the end makes all canonical.  This is the reference
+    `f2_rref_stack` is tested against over F_2.
     """
     p = field.p
     m = np.asarray(stack)
@@ -237,7 +241,7 @@ def rref_stack(stack, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
         m[every, r, c:] = np.where(has[:, None], pivot_row, m[every, r, c:])
         ranks += has
     m %= p
-    return m.astype(np.int64), ranks
+    return m, ranks
 
 
 def pack_f2(m: np.ndarray) -> np.ndarray:
@@ -287,6 +291,15 @@ def f2_rref_stack(words: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray
             word[every, r] = pivot
         ranks += has
     return words, ranks
+
+
+def reduced_basis(rows: np.ndarray, field: PrimeField, ncols: int) -> RowBasis:
+    """The RowBasis of one matrix's nonzero reduced rows as a stack kernel
+    returns them: packed words of `ncols` columns over F_2, integer entries
+    otherwise.  Each row's pivot is its first nonzero column, and RowBasis
+    re-validates the form."""
+    rows = unpack_f2(rows, ncols) if field.p == 2 else rows
+    return RowBasis(rows, (rows != 0).argmax(axis=1), field)
 
 
 def kernel(a, field: PrimeField, width: int | None = None) -> RowBasis:

@@ -149,7 +149,7 @@ def schur_power_chains(
                 failed[i] = VerificationError("power dimension decreased along the chain")
                 continue
             repeat = seen[i].get(nxt.tobytes())
-            new = held[i][repeat - 1].basis if repeat else _basis(nxt, field, n)
+            new = held[i][repeat - 1].basis if repeat else linalg.reduced_basis(nxt, field, n)
             if p == 2 and not new.contains_rows(held[i][-1].basis.matrix):
                 failed[i] = VerificationError("binary power chain failed to ascend")
             elif repeat:
@@ -201,11 +201,11 @@ def _shared(codes: Sequence[GCode]) -> tuple[Group, PrimeField]:
 
 def _step(jobs: list[tuple[np.ndarray, np.ndarray, bool]], field: PrimeField, n: int):
     """Yield each (left, right, square) job's product as its canonical RREF
-    rows (packed words over F_2), or the VerificationError of a product
-    above the bound.  One reduction of a zero-padded stack holds every
-    job's product rows and, when the job is not a square, [left; right]
-    for the meet: linalg.f2_rref_stack over F_2, linalg.rref_stack
-    otherwise."""
+    rows in the form and dtype of its right factor's rows (packed words over
+    F_2), or the VerificationError of a product above the bound.  One
+    reduction of a zero-padded stack holds every job's product rows and,
+    when the job is not a square, [left; right] for the meet:
+    linalg.f2_rref_stack over F_2, linalg.rref_stack otherwise."""
     p = field.p
     mats = []
     for left, right, square in jobs:
@@ -218,7 +218,9 @@ def _step(jobs: list[tuple[np.ndarray, np.ndarray, bool]], field: PrimeField, n:
     reduced, ranks = linalg.f2_rref_stack(stack, n) if p == 2 else linalg.rref_stack(stack, field)
     rows = iter(reduced[slot, :rank] for slot, rank in enumerate(ranks.tolist()))
     for left, right, square in jobs:
-        product = next(rows).copy()  # a held power must not keep the stack
+        # a held power must not keep the stack, and its bytes key a repeat
+        # only in its base's dtype
+        product = next(rows).astype(right.dtype)
         d, k = len(left), len(right)
         meet = k if square else d + k - len(next(rows))
         cap = min(n, d * k - meet * (meet - 1) // 2)
@@ -244,19 +246,12 @@ def _rows(code: GCode) -> np.ndarray:
     return linalg.pack_f2(code.basis.matrix) if code.field.p == 2 else code.basis.matrix
 
 
-def _basis(rows: np.ndarray, field: PrimeField, n: int) -> linalg.RowBasis:
-    """The RowBasis of canonical reduced rows (packed words over F_2)."""
-    if field.p == 2:
-        rows = linalg.unpack_f2(rows, n)
-    return linalg.RowBasis(rows, (rows != 0).argmax(axis=1), field)
-
-
 def _ideal(group: Group, field: PrimeField, product) -> GCode | Exception:
     """The GCode of a product's rows, or the error that stops it."""
     if isinstance(product, VerificationError):
         return product
     try:
-        return GCode(group, _basis(product, field, group.order))
+        return GCode(group, linalg.reduced_basis(product, field, group.order))
     except ValueError as exc:
         return exc
 

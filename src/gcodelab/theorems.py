@@ -351,11 +351,12 @@ def solv_check(code: GCode) -> dict:
 # reduced in batches by _reduce -- over odd p as a stack of byte-sized digits
 # (for p < 257), over F_2 as packed words, digits @ galg.translate_weights,
 # with no (batch, n, n) stack.  The bytes of each reduced matrix key the
-# deduplication (the RREF is unique); over F_2 only the kept ideals' rows are
-# unpacked.  The generators of an ideal form a union of orbits, so its
-# smallest generator -- the tag the sweeps report -- is an orbit minimum and
-# the tags are those of an unpruned sweep.  Sampled sweeps eliminate the
-# sampled generators themselves, with no orbit pass over all p^n indices.
+# deduplication (the RREF is unique); the kept ideals' rows stay in that form
+# until linalg.reduced_basis makes each a basis.  The generators of an ideal
+# form a union of orbits, so its smallest generator -- the tag the sweeps
+# report -- is an orbit minimum and the tags are those of an unpruned sweep.
+# Sampled sweeps eliminate the sampled generators themselves, with no orbit
+# pass over all p^n indices.
 #
 # Orbit minima by digit-block lookup.  A table gives n maps of coordinates:
 # map j moves coordinate x of f to table[x, j], so group.table gives
@@ -423,7 +424,9 @@ class SweepOrbits(NamedTuple):
     minima lists the nonzero orbit minima in ascending order and ranks holds
     dim fF[G] at each; ideals lists each distinct nonzero cyclic ideal once,
     as (smallest generator index, canonical RREF rows), in order of that
-    index.
+    index.  The rows stay in the form the elimination kernel gave them
+    (packed words over F_2, its work dtype over odd p) until
+    linalg.reduced_basis makes them a basis.
     """
 
     minima: np.ndarray
@@ -478,7 +481,8 @@ def _eliminate(
     indices: np.ndarray, group: Group, field: PrimeField
 ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """Ranks of the ideals generated by the given ascending generator indices,
-    and the distinct ideals among them as (first index, RREF rows)."""
+    and the distinct ideals among them as (first index, RREF rows in _reduce's
+    form)."""
     n, p = group.order, field.p
     translate, weights = _translate_index(group), translate_weights(group)
     ranks = np.empty(len(indices), dtype=np.int64)
@@ -495,7 +499,7 @@ def _eliminate(
             key = rows.tobytes()
             if key not in seen:
                 seen.add(key)
-                ideals.append((fidx, linalg.unpack_f2(rows, n) if p == 2 else rows.copy()))
+                ideals.append((fidx, rows.copy()))
     return ranks, ideals
 
 
@@ -697,11 +701,10 @@ def enumerate_cyclic_ideals(
     else:
         picks = _sample_indices(group.order, field.p, sample, sample_seed)
         found = _eliminate(picks, group, field)[1]
-    out: list[tuple[int, GCode]] = []
-    for fidx, rows in found:
-        pivots = (rows != 0).argmax(axis=1)
-        out.append((fidx, GCode(group, linalg.RowBasis(rows, pivots, field))))
-    return out
+    return [
+        (fidx, GCode(group, linalg.reduced_basis(rows, field, group.order)))
+        for fidx, rows in found
+    ]
 
 
 T = TypeVar("T")

@@ -320,10 +320,43 @@ def test_rref_stack_large_moduli_stay_exact(p):
     stack = np.random.default_rng(p).integers(0, p, size=(4, 6, 8))
     stack[1, 5] = (stack[1, 0] * (p - 1) + stack[1, 2]) % p
     reduced, ranks = linalg.rref_stack(stack, field)
+    assert reduced.dtype == {181: np.int32, 65521: np.int64}[p]  # the work dtype
     for b in range(4):
         ref = linalg.rref(stack[b], field)
         assert ranks[b] == ref.dim
         assert np.array_equal(reduced[b, : ref.dim], ref.matrix)
+
+
+@pytest.mark.parametrize("cols, dtype", [(9, np.int16), (8191, np.int16), (8192, np.int32)])
+def test_rref_stack_returns_its_work_dtype(cols, dtype):
+    # the smallest dtype that holds (p-1) + cols*(p-1)^2 = 2 + 4*cols over F_3,
+    # from digits given as bytes, with the values rref gives
+    rng = np.random.default_rng(cols)
+    stack = rng.integers(0, 3, size=(3, 5, cols))
+    stack[2] = 0
+    reduced, ranks = linalg.rref_stack(stack.astype(np.uint8), F3)
+    assert reduced.dtype == dtype and reduced.shape == stack.shape
+    for b in range(3):
+        ref = linalg.rref(stack[b], F3)
+        assert ranks[b] == ref.dim
+        assert np.array_equal(reduced[b, : ref.dim], ref.matrix)
+        assert not reduced[b, ref.dim :].any()
+
+
+@pytest.mark.parametrize("p, cols", [(2, 63), (2, 64), (2, 65), (2, 128), (3, 9), (5, 9)])
+def test_reduced_basis_of_kernel_rows_is_the_rref(p, cols):
+    # packed words from f2_rref_stack over F_2, work-dtype rows from rref_stack otherwise
+    field = PrimeField(p)
+    kinds = ["zero", "full", "deficient", "random", "late"]
+    stack = np.array([_stack_matrix(kind, p, 6, cols, seed) for seed, kind in enumerate(kinds)])
+    if p == 2:
+        reduced, ranks = linalg.f2_rref_stack(linalg.pack_f2(stack), cols)
+    else:
+        reduced, ranks = linalg.rref_stack(stack, field)
+    for b, rank in enumerate(ranks.tolist()):
+        basis = linalg.reduced_basis(reduced[b, :rank], field, cols)
+        assert basis == linalg.rref(stack[b], field, width=cols)
+        assert basis.matrix.dtype == np.int64
 
 
 @pytest.mark.parametrize("cols", [1, 7, 8, 63, 64, 65, 130])

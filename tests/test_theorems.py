@@ -307,7 +307,8 @@ def test_sampled_uncertainty_ranks_on_its_own_masks(monkeypatch):
 
 
 def test_sampled_uncertainty_over_f3_gathers_digits_as_bytes():
-    # S5/F3 at 300 samples peaked at 76 MB while the stack was gathered as int64
+    # S5/F3 at 300 samples peaked at 76 MB while the stack was gathered as
+    # int64, and at 47.5 MB while rref_stack returned an int64 copy of it
     tracemalloc.start()
     try:
         rep = theorems.verify_uncertainty(make_symmetric(5), F3, sample=300)
@@ -315,7 +316,7 @@ def test_sampled_uncertainty_over_f3_gathers_digits_as_bytes():
     finally:
         tracemalloc.stop()
     assert rep == {"group": "S5", "p": 3, "checked": 300, "failures": []}
-    assert peak < 60 * 2**20
+    assert peak < 32 * 2**20
 
 
 def test_sampled_uncertainty_at_order_128_keeps_no_translate_stack():
