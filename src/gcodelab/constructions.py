@@ -101,32 +101,41 @@ _GOLAY_DIM = 12
 _GOLAY_DIST = 8
 _FIRST_CHUNK = 1 << 9  # hits come about once in 325 trials
 _SEARCH_CHUNK = 1 << 15
+# a winner's weight: that of a nonzero extended Golay word other than all-ones
+_GOLAY_WEIGHTS = np.array([w in (8, 12, 16) for w in range(25)])
 
 
 @functools.cache
-def _s4() -> tuple[Group, np.ndarray]:
-    """S4 and its element indices, built on the first search (not at import)
-    and shared, read-only, by every later one."""
+def _s4() -> tuple[Group, np.ndarray, np.ndarray]:
+    """S4, its element indices and its byte tables of right translates,
+    built on the first search (not at import) and shared, read-only, by
+    every later one: tables[b, v, j] is the mask of f·g_j for the f whose
+    mask is v << 8b, the part of f·g_j that byte b of f's mask contributes."""
     group = make_symmetric(4)
     shifts = np.arange(group.order)
-    shifts.setflags(write=False)
-    return group, shifts
+    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    weights = translate_weights(group)[0].reshape(3, 8, group.order)
+    tables = byte_bits @ weights  # translates of one support never collide
+    for a in (shifts, tables):
+        a.setflags(write=False)
+    return group, shifts, tables
 
 
 def _translates(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(col_masks, odd) for a chunk of 24-bit trial masks of F_2[S4]:
-    col_masks[t, j] is the mask of f·g_j for f = masks[t], and odd[t] says
-    whether some ⟨f, f·g_j⟩ is 1.  As ⟨f·g_i, f·g_j⟩ = ⟨f, f·g_j·g_i⁻¹⟩, the
-    ideal f·F_2[S4] is self-orthogonal (f̂·f = 0) exactly when odd[t] is
-    False."""
-    group, shifts = _s4()
-    bits = (masks[:, None] >> shifts) & 1
-    col_masks = bits @ translate_weights(group)[0]  # 24 bits: one word
-    # popcount(f & f·g_j) mod 2, in bits' buffer: no third (chunk, 24) array
-    np.bitwise_and(col_masks, masks[:, None], out=bits)
-    np.bitwise_count(bits, out=bits)
-    np.bitwise_and(bits, 1, out=bits)
-    return col_masks, bits.any(axis=1)
+    col_masks[t, j] is the mask of f·g_j for f = masks[t], the OR of one
+    table row per byte of f, and odd[t] says whether some ⟨f, f·g_j⟩ is 1.
+    As ⟨f·g_i, f·g_j⟩ = ⟨f, f·g_j·g_i⁻¹⟩, the ideal f·F_2[S4] is
+    self-orthogonal (f̂·f = 0) exactly when odd[t] is False."""
+    tables = _s4()[2]
+    col_masks = tables[0][masks & 255]
+    col_masks |= tables[1][(masks >> 8) & 255]
+    col_masks |= tables[2][masks >> 16]
+    # popcount(f & f·g_j) mod 2
+    parity = col_masks & masks[:, None]
+    np.bitwise_count(parity, out=parity)
+    np.bitwise_and(parity, 1, out=parity)
+    return col_masks, parity.any(axis=1)
 
 
 def golay_search(budget: int, seed: int) -> GolaySearchResult | None:
@@ -138,11 +147,16 @@ def golay_search(budget: int, seed: int) -> GolaySearchResult | None:
     (budget, seed): the stream does not depend on how it is chunked, and
     chunks start small and double, since most searches hit early.
     Exhausting the budget without a hit returns None, a normal outcome.
-    Each chunk first drops, in one vectorized test, every trial whose ideal
-    C = f·F_2[S4] is not self-orthogonal: C ⊆ C^⊥ exactly when f̂·f = 0, and
-    every binary [24,12,8] code is the extended Golay code up to
-    equivalence (Pless 1968), hence self-dual, so no dropped trial could
-    win and the winner is the same as without the test.
+    Every binary [24,12,8] code is the extended Golay code up to
+    equivalence (Pless 1968), so each chunk first drops, in two vectorized
+    screens, every trial that could not win; the winner is the same as
+    without them.  A winner f lies in its ideal C = f·F_2[S4] (f = f·1) and
+    is nonzero, and C has weight enumerator 1 + 759y⁸ + 2576y¹² + 759y¹⁶ +
+    y²⁴; the all-ones word spans a 1-dimensional ideal (1̄·g = 1̄), so the
+    first screen keeps the trials of weight 8, 12 or 16.  The second drops
+    every survivor whose ideal is not self-orthogonal: C ⊆ C^⊥ exactly when
+    f̂·f = 0, and the Golay code is self-dual.  Survivors keep their own
+    trial indices.
     A candidate of dimension 12 has its distance scanned from its rows; only
     the winner becomes a GCode, built once from its generator by the generic
     F_p elimination.  Its basis must equal the candidate the search scanned,
@@ -151,14 +165,18 @@ def golay_search(budget: int, seed: int) -> GolaySearchResult | None:
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must lie in [0, 2**128), not {seed}")
     field = PrimeField(2)
-    group, shifts = _s4()
+    group, shifts, _ = _s4()
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     def scan(start: int, masks: np.ndarray) -> tuple[int, int, np.ndarray] | None:
-        col_masks, odd = _translates(masks)
-        for t in np.flatnonzero(~odd & (masks != 0)).tolist():
-            rows = col_masks[t].tolist()
+        keep = np.flatnonzero(_GOLAY_WEIGHTS[np.bitwise_count(masks)])
+        col_masks, odd = _translates(masks[keep])
+        for j in np.flatnonzero(~odd).tolist():
+            t = int(keep[j])
+            rows = col_masks[j].tolist()
             if linalg.f2_rank(rows) != _GOLAY_DIM:
                 continue
             key = np.array(linalg.f2_rref(rows), dtype=np.int64)

@@ -310,26 +310,40 @@ def f2_words(rows):
     return out
 
 
-def self_orthogonal_translates(group, mask):
-    """Whether the right ideal of F_2[group] generated by the element whose
-    coefficient bits are `mask` is self-orthogonal, from its translate
-    matrix: row g is the AlgElem product f * g, and R·Rᵀ must vanish mod 2."""
+def _translate_rows(group, mask):
+    """Row g is the coefficient vector of the AlgElem product f * g, for the
+    element f of F_2[group] whose coefficient bits are `mask`."""
     from gcodelab.ffield import PrimeField
     from gcodelab.galg import AlgElem
 
     f2 = PrimeField(2)
     f = AlgElem(group, f2, [(mask >> m) & 1 for m in range(group.order)])
-    rows = np.array(
+    return np.array(
         [(f * AlgElem.basis_elem(group, f2, g)).coeffs for g in range(group.order)]
     )
+
+
+def translate_masks(group, mask):
+    """The right translates f * g of the element of F_2[group] whose
+    coefficient bits are `mask`, each packed the same way, from AlgElem
+    products: bit m of entry g is coefficient m of f * g."""
+    rows = _translate_rows(group, mask)
+    return [sum(int(c) << m for m, c in enumerate(row)) for row in rows]
+
+
+def self_orthogonal_translates(group, mask):
+    """Whether the right ideal of F_2[group] generated by the element whose
+    coefficient bits are `mask` is self-orthogonal, from its translate
+    matrix: row g is the AlgElem product f * g, and R·Rᵀ must vanish mod 2."""
+    rows = _translate_rows(group, mask)
     return not ((rows @ rows.T) % 2).any()
 
 
 def golay_scan_unfiltered(budget, seed, chunk=1 << 12):
     """(trial, mask) of the first trial whose ideal of F_2[S4] has dimension
     12 and minimum distance 8, or None: the scan loop `golay_search` ran
-    before it dropped the trials whose ideal is not self-orthogonal, kept as
-    its reference.  Every nonzero trial is ranked, and each of rank 12 is
+    before it dropped any trial by its weight or by the parity of its
+    translates, kept as its reference.  Every nonzero trial is ranked, and each of rank 12 is
     reduced and scanned.  The masks are those of `golay_search`, one Philox
     stream keyed by the seed, here drawn in fixed chunks."""
     from gcodelab import gcode as gc, linalg

@@ -331,6 +331,16 @@ def test_search_golay_zero_budget(capsys):
     assert json.loads(lines[0]) == {"budget": 0, "found": False, "seed": 1}
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 128)])
+def test_search_golay_seed_outside_the_philox_key_range_is_an_error(seed, capsys):
+    # -1 exited 2 with numpy's "key must be positive and less than 2**128."
+    argv = ["search", "golay", "--budget", "10", "--seed", seed, "--json"]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: seed must lie in [0, 2**128), not {seed}\n"
+
+
 @pytest.mark.parametrize("command", ["verify up", "search sweep"])
 def test_seed_without_sample_is_a_usage_error(command, capsys):
     # the seed drives only the sample: an exhaustive sweep printed the same

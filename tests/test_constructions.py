@@ -104,6 +104,15 @@ def test_golay_zero_budget():
         constructions.golay_search(-1, seed=1)
 
 
+def test_golay_seed_must_be_a_philox_key():
+    for seed in (-1, 1 << 128):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\)"):
+            constructions.golay_search(10, seed)
+    for seed in (0, (1 << 128) - 1):
+        res = constructions.golay_search(10, seed)
+        assert res is None or res.trial < 10
+
+
 def test_golay_search_hits_and_verifies():
     result = constructions.golay_search(50_000, seed=2024)
     assert result is not None
@@ -202,16 +211,27 @@ _MASK = st.integers(0, (1 << 24) - 1)
 # random masks rarely give a self-orthogonal ideal (2.4 % do); sums of a
 # few group elements often do
 _SPARSE_MASK = st.sets(st.integers(0, 23), max_size=6).map(lambda s: sum(1 << m for m in s))
+_TRIAL_MASKS = st.lists(st.one_of(_MASK, _SPARSE_MASK), max_size=12).map(
+    lambda drawn: np.array([0, (1 << 24) - 1, WINNER_2024_MASK, *drawn], dtype=np.int64)
+)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(_MASK, _SPARSE_MASK), max_size=12))
-def test_golay_parity_filter_matches_translate_gram(drawn):
-    masks = np.array([0, (1 << 24) - 1, WINNER_2024_MASK, *drawn], dtype=np.int64)
+@given(_TRIAL_MASKS)
+def test_golay_parity_filter_matches_translate_gram(masks):
     group = constructions._s4()[0]
     _, odd = constructions._translates(masks)
     want = [oracles.self_orthogonal_translates(group, m) for m in masks.tolist()]
     assert (~odd).tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TRIAL_MASKS)
+def test_golay_table_built_translates_match_algebra_products(masks):
+    group = constructions._s4()[0]
+    col_masks, _ = constructions._translates(masks)
+    want = [oracles.translate_masks(group, m) for m in masks.tolist()]
+    assert col_masks.tolist() == want
 
 
 def _found(result):
@@ -226,6 +246,43 @@ def test_golay_filter_keeps_the_unfiltered_winner(budget, seeds):
     want = [oracles.golay_scan_unfiltered(budget, seed) for seed in seeds]
     assert got == want
     assert want.count(None) == (21 if budget == 300 else 0)
+
+
+def _winners(seeds):
+    return [constructions.golay_search(1_000_000, seed) for seed in seeds]
+
+
+def test_golay_weight_screen_premise():
+    # every word of a winner's code that generates the whole code (rank 12)
+    # has weight 8, 12 or 16, and the all-ones word, of weight 24, generates
+    # only its own line; winners of all three weights occur
+    group = constructions._s4()[0]
+    shifts = np.arange(24)
+    weights = np.int64(1) << group.table.astype(np.int64)
+    messages = (np.arange(1 << 12)[:, None] >> np.arange(12)) & 1
+    winner_weights = []
+    for res in _winners(range(20)):
+        winner_weights.append(int(res.generator.coeffs.sum()))
+        words = messages @ res.code.basis.matrix % 2
+        enumerator = np.bincount(words.sum(axis=1), minlength=25)
+        assert {w: int(c) for w, c in enumerate(enumerator) if c} == {
+            0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
+        translates = ((words @ (1 << shifts))[:, None] >> shifts & 1) @ weights
+        _, ranks = linalg.f2_rref_stack(translates.astype(np.uint64)[:, :, None], 24)
+        assert set(words[ranks == 12].sum(axis=1).tolist()) <= {8, 12, 16}
+    assert sorted(winner_weights) == [8] * 3 + [12] * 12 + [16] * 5
+    ones = gc.ideal_from_generators(group, F2, [AlgElem.all_ones(group, F2)])
+    assert ones.dim == 1
+
+
+def test_golay_budget_boundary_through_the_screens():
+    # a budget that ends just before the winning trial finds nothing, and one
+    # more trial finds it: the screened trials keep their own indices, with
+    # chunks cut anywhere from the first chunk of 512 onwards
+    for seed, res in enumerate(_winners(range(20))):
+        assert constructions.golay_search(res.trial, seed) is None
+        again = constructions.golay_search(res.trial + 1, seed)
+        assert _found(again) == _found(res)
 
 
 def test_golay_ranks_only_self_orthogonal_trials(monkeypatch):
