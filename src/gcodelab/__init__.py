@@ -14,13 +14,11 @@ from .gcode import (
     GCode,
     ParamReport,
     augmentation_ideal,
-    full_algebra,
     ideal_from_generators,
     is_ideal,
     load_code,
     save_code,
     trivial_induced,
-    zero_code,
 )
 from .groups import (
     Group,
@@ -41,7 +39,7 @@ from .groups import (
     save_group,
     subgroup_generated,
 )
-from .linalg import RowBasis, kernel, rank, rref, subspace_intersect
+from .linalg import RowBasis, kernel, rank, rref
 from .schur import (
     SchurChainReport,
     fixed_point_structure,
@@ -56,7 +54,6 @@ from .theorems import (
     UncertaintyResult,
     enumerate_cyclic_ideals,
     equality_analysis,
-    greedy_support_rank,
     idempotent_generator,
     projective_cover_trivial,
     schur_square_theorem_check,

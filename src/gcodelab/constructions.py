@@ -183,7 +183,7 @@ def golay_search(budget: int, seed: int) -> GolaySearchResult | None:
             matrix = (key[:, None] >> shifts) & 1
             # the rows span a right ideal by construction: a losing candidate
             # needs its distance only, not a validated GCode
-            if gc._min_weight(matrix, 2) != _GOLAY_DIST:
+            if gc._split_scan(matrix, 2)[0] != _GOLAY_DIST:
                 continue
             return start + t, int(masks[t]), matrix
         return None

@@ -8,9 +8,8 @@ is the sum of a word spanned by the top half of the basis and one spanned by
 the bottom half, so the scan builds the two spans once and combines them
 block by block.  Right translation is transitive on the coordinates and
 column 0 is row 0's pivot, so some minimum-weight word has leading message
-digit 1: the scan reads those p^(k-1) messages for d, then the leading-0
-messages, which come first, only up to the first word of weight d.  A GCode
-is immutable, so it scans its codewords at most once and keeps the result.
+digit 1: the scan reads only those p^(k-1) messages.  A GCode is immutable,
+so it scans its codewords at most once and keeps the result.
 """
 
 from __future__ import annotations
@@ -94,8 +93,8 @@ class GCode:
         return self._minimum(guard)[0]
 
     def min_weight_codeword(self, guard: int | None = None) -> AlgElem:
-        """The minimum-weight codeword that comes first in the lexicographic
-        enumeration of message vectors (deterministic)."""
+        """The first minimum-weight codeword, in message order, whose
+        identity coefficient is 1 (deterministic)."""
         _, msg = self._minimum(guard)
         k, p = self.dim, self.field.p
         divs = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
@@ -105,8 +104,8 @@ class GCode:
         )
 
     def _minimum(self, guard: int | None) -> tuple[int, int]:
-        """(minimum weight, first message index reaching it).  The guard is
-        checked on every call; the scan runs on the first one only."""
+        """The `_split_scan` of the basis.  The guard is checked on every
+        call; the scan runs on the first one only."""
         if self.dim == 0:
             raise ValueError("the zero code has no minimum distance")
         guard = DEFAULT_GUARD if guard is None else guard
@@ -151,29 +150,16 @@ class GCode:
         return ParamReport(n, k, d, product, True, product == n)
 
 
-def _min_weight(rows: np.ndarray, p: int) -> int:
-    """Minimum weight of a nonzero codeword.  The rows must be the RREF basis
+def _split_scan(rows: np.ndarray, p: int) -> tuple[int, int]:
+    """(minimum weight, first message index reaching it among the messages
+    with leading digit 1); message index i has the base-p digits of i as
+    coefficients, row 0's most significant.  The rows must be the RREF basis
     of a nonzero right ideal: right translation by G is transitive on the
     coordinates, so a minimum word w with x in its support gives the minimum
     word w·(x⁻¹·g₀), scaled so that its column-0 entry, its leading message
     digit, is 1.  Only those messages, 1/p of them, are scanned."""
     lead = _lead(rows, p)
-    return _blocks(*_spans(rows, p), lead, 2 * lead, rows.shape[1], p, 1)[0]
-
-
-def _split_scan(rows: np.ndarray, p: int) -> tuple[int, int]:
-    """(minimum weight, first message index reaching it); message index i
-    has the base-p digits of i as coefficients, row 0's most significant.
-    The rows must be the RREF basis of a nonzero right ideal.  The messages
-    with leading digit 1 reach the minimum d (see `_min_weight`); those with
-    leading digit 0 come before them in index order, so they are scanned
-    next, up to the first block that reaches d, and a word of weight d among
-    them comes first.  At most 2/p of the messages are read."""
-    lead, n = _lead(rows, p), rows.shape[1]
-    spans = _spans(rows, p)
-    d, first = _blocks(*spans, lead, 2 * lead, n, p, 1)
-    weight, index = _blocks(*spans, 0, lead, n, p, d)
-    return d, (index if weight == d else first)
+    return _blocks(*_spans(rows, p), lead, 2 * lead, rows.shape[1], p, 1)
 
 
 def _lead(rows: np.ndarray, p: int) -> int:
@@ -289,7 +275,7 @@ def ideal_from_generators(group: Group, field: PrimeField, gens) -> GCode:
     """The right ideal spanned by all right translates of the generators."""
     rows = []
     for gen in gens:
-        if gen.group is not group or gen.field != field:
+        if not same_group(gen.group, group) or gen.field != field:
             raise ValueError("generator over a different group or field")
         rows.append(gen.multiplication_matrix().T)
     if rows:
@@ -309,22 +295,6 @@ def trivial_induced(group: Group, field: PrimeField, h: Subgroup) -> GCode:
     for i, block in enumerate(blocks):
         rows[i, block] = 1
     return GCode(group, linalg.RowBasis(rows, [block[0] for block in blocks], field))
-
-
-def full_algebra(group: Group, field: PrimeField) -> GCode:
-    return GCode(
-        group,
-        linalg.rref(np.eye(group.order, dtype=np.int64), field),
-    )
-
-
-def zero_code(group: Group, field: PrimeField) -> GCode:
-    return GCode(
-        group,
-        linalg.rref(
-            np.zeros((0, group.order), dtype=np.int64), field, width=group.order
-        ),
-    )
 
 
 def augmentation_ideal(group: Group, field: PrimeField) -> GCode:

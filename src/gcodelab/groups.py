@@ -173,12 +173,12 @@ class Subgroup:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subgroup)
-            and self.group is other.group
+            and same_group(self.group, other.group)
             and self.members == other.members
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.group), self.members))
+        return hash(self.members)
 
     def __repr__(self) -> str:
         return f"Subgroup({self.members} of {self.group.name})"
@@ -212,7 +212,7 @@ def subgroup_generated(g: Group, seeds) -> Subgroup:
 def right_cosets(g: Group, h: Subgroup) -> list[list[int]]:
     """Partition into right cosets Hx; first block is H, then by smallest
     uncovered representative."""
-    if h.group is not g:
+    if not same_group(h.group, g):
         raise ValueError("subgroup belongs to a different group")
     covered = np.zeros(g.order, dtype=bool)
     blocks: list[list[int]] = []

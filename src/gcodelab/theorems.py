@@ -32,40 +32,6 @@ class UncertaintyResult(NamedTuple):
     length: int
 
 
-def greedy_support_rank(
-    group: Group, support, order: Sequence[int] | None = None
-) -> tuple[int, list[int]]:
-    """Greedy escape sequence for the translates of a support set.
-
-    Walks `order` and keeps g whenever (support)g escapes the union of the
-    translates kept so far.  The kept sequence has escape length t, the union
-    covers the whole group, and t >= ceil(|G| / |support|).
-    """
-    supp = sorted({int(s) for s in support})
-    if not supp:
-        raise ValueError("support must be nonempty")
-    n = group.order
-    if order is None:
-        order = range(n)
-    order = [int(g) for g in order]
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of all element indices")
-    supp_arr = np.array(supp, dtype=np.int64)
-    covered = np.zeros(n, dtype=bool)
-    seq: list[int] = []
-    for g in order:
-        translate = group.table[supp_arr, g]
-        if not covered[translate].all():
-            covered[translate] = True
-            seq.append(g)
-    if not covered.all():
-        raise VerificationError("greedy pass failed to cover the group")
-    t = len(seq)
-    if t * len(supp) < n:
-        raise VerificationError("greedy sequence shorter than the covering bound")
-    return t, seq
-
-
 def uncertainty_checks(
     group: Group, field: PrimeField, coeffs, order: Sequence[int] | None = None
 ) -> list[UncertaintyResult | VerificationError]:
@@ -156,25 +122,23 @@ def equality_analysis(
 ) -> EqualityWitness | None:
     """Extract the subgroup structure of a code with d*k = |G|.
 
-    Returns None when d*k > |G|.  Otherwise: translates a minimum-weight
-    codeword so its support H contains the identity, then certifies that H
-    is a subgroup, the code is generated by the translated word c, the ideal
-    cKH is one-dimensional, and (over a p-group in characteristic p) the code
-    is the induced span of H-coset indicators; elsewhere that induced span
-    meets d*k = |G| as well.
+    Returns None when d*k > |G|.  Otherwise takes the minimum-weight
+    codeword c whose identity coefficient is 1 (`min_weight_codeword`), so
+    its support H contains the identity, then certifies that H is a
+    subgroup, the code is generated by c, the ideal cKH is one-dimensional,
+    and (over a p-group in characteristic p) the code is the induced span of
+    H-coset indicators; elsewhere that induced span meets d*k = |G| as well.
     """
     if code.is_zero():
         raise ValueError("equality analysis needs a nonzero code")
     group, field = code.group, code.field
     n, k = code.length, code.dim
-    word = code.min_weight_codeword(guard=guard)
-    d = word.weight()
+    c = code.min_weight_codeword(guard=guard)
+    d = c.weight()
     if d * k != n:
         if d * k < n:
             raise VerificationError("distance-dimension product fell below length")
         return None
-    h0 = min(word.support())
-    c = word.right_translate(int(group.inverse[h0]))
     members = sorted(c.support())
     try:
         sub = Subgroup(group, members)
@@ -509,10 +473,13 @@ def _orbit_tables(table: np.ndarray, p: int) -> _Tables:
     p^width, block table).  Block table[v, (c - 1) * n + j] is the block's
     part of the index of c times f moved by map j: the sum over its digits
     x of (c * digit_x(v) mod p) * p^table[x, j].  A one-digit table has p
-    rows of (p - 1) * n entries, so p past _TABLE_SIZE is refused."""
+    rows of (p - 1) * n entries, so p past _TABLE_SIZE is refused, and so is
+    p^n past 2^63, whose indices and block terms int64 does not hold."""
+    n = len(table)
     if p > _TABLE_SIZE:
         raise ValueError(f"exhaustive sweeps need p <= {_TABLE_SIZE}, not {p}")
-    n = len(table)
+    if p**n > 1 << 63:
+        raise ValueError(f"exhaustive sweeps need p^|G| <= 2^63, not {p}^{n}")
     s = 1
     while p ** (s + 1) <= _TABLE_SIZE:
         s += 1

@@ -53,23 +53,78 @@ def min_distance_scan(basis_rows, p):
     return best
 
 
-def min_scan_chunked(basis, p, chunk=1 << 14):
-    """(minimum weight, first message index reaching it), one message per
+def min_scan_chunked(basis, p, chunk=1 << 14, start=1, stop=None):
+    """(minimum weight, first message index reaching it) over the message
+    indices start..stop-1 (default: every nonzero message), one message per
     row of an int64 digit matmul, 2^14 messages at a time: the scan the
     split scan replaced, kept as its reference.  Message index i has the
     base-p digits of i as coefficients, the first row's most significant."""
     basis = np.asarray(basis, dtype=np.int64)
     k = basis.shape[0]
+    stop = p**k if stop is None else stop
     divs = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
     best = None
-    for lo in range(1, p**k, chunk):
-        idx = np.arange(lo, min(lo + chunk, p**k), dtype=np.int64)
+    for lo in range(start, stop, chunk):
+        idx = np.arange(lo, min(lo + chunk, stop), dtype=np.int64)
         digits = (idx[:, None] // divs) % p
         weights = np.count_nonzero((digits @ basis) % p, axis=1)
         j = int(np.argmin(weights))
         if best is None or weights[j] < best[0]:
             best = (int(weights[j]), lo + j)
     return best
+
+
+def full_algebra(group, field):
+    """F_p[G] itself, the ideal spanned by the identity basis."""
+    from gcodelab import linalg
+    from gcodelab.gcode import GCode
+
+    return GCode(group, linalg.rref(np.eye(group.order, dtype=np.int64), field))
+
+
+def zero_code(group, field):
+    """The zero ideal of F_p[G]."""
+    from gcodelab import linalg
+    from gcodelab.gcode import GCode
+
+    rows = np.zeros((0, group.order), dtype=np.int64)
+    return GCode(group, linalg.rref(rows, field, width=group.order))
+
+
+def greedy_support_rank(group, support, order=None):
+    """Greedy escape sequence for the translates of a support set, one
+    element at a time: the walk `theorems.uncertainty_checks` batches, kept
+    as its reference.
+
+    Walks `order` and keeps g whenever (support)g escapes the union of the
+    translates kept so far.  The kept sequence has escape length t, the union
+    covers the whole group, and t >= ceil(|G| / |support|).
+    """
+    from gcodelab.errors import VerificationError
+
+    supp = sorted({int(s) for s in support})
+    if not supp:
+        raise ValueError("support must be nonempty")
+    n = group.order
+    if order is None:
+        order = range(n)
+    order = [int(g) for g in order]
+    if sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of all element indices")
+    supp_arr = np.array(supp, dtype=np.int64)
+    covered = np.zeros(n, dtype=bool)
+    seq = []
+    for g in order:
+        translate = group.table[supp_arr, g]
+        if not covered[translate].all():
+            covered[translate] = True
+            seq.append(g)
+    if not covered.all():
+        raise VerificationError("greedy pass failed to cover the group")
+    t = len(seq)
+    if t * len(supp) < n:
+        raise VerificationError("greedy sequence shorter than the covering bound")
+    return t, seq
 
 
 def convolve_scan(table, f, h, p):

@@ -240,7 +240,7 @@ def test_criterion_7_cover_biconditional_s3():
         "cover_method": "p-nilpotent", "applicable": True,
         "square_is_cover": True, "code_in_cover": True, "ok": True,
     }
-    full = gl.full_algebra(s3, F2)
+    full = oracles.full_algebra(s3, F2)
     v = gl.solv_check(full)
     assert v["applicable"] and not v["square_is_cover"] and not v["code_in_cover"]
     ones = gl.ideal_from_generators(s3, F2, [gl.AlgElem.all_ones(s3, F2)])

@@ -637,3 +637,14 @@ def test_exhaustive_sweeps_refuse_p_past_the_table_size(capsys, command):
         assert json.loads(lines[0]) == {"checked": 5, "failures": [], "group": "C1", "p": 2053}
     assert cli.run(argv[:-2] + ["1021", "--json"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["verify up", "verify all"])
+def test_exhaustive_sweeps_refuse_indices_past_int64(capsys, command):
+    # C64/F2 has 2^64 generator indices: its block tables held -2^63 (2^63
+    # wrapped in int64) and the sweep ran on with nothing printed
+    argv = command.split() + ["--group", "cyclic:64", "--p", "2", "--exhaustive", "--json"]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exhaustive sweeps need p^|G| <= 2^63, not 2^64\n"

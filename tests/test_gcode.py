@@ -37,6 +37,21 @@ def test_ideal_from_generators_examples():
     assert via_gen.dim == h.index
 
 
+def test_an_equal_table_copy_is_the_same_group():
+    # a generator or subgroup over a second C4 is accepted, as f * g across
+    # the two groups is; C2 x C2 and another field are still refused
+    twin = make_cyclic(4)
+    f = AlgElem(twin, F2, [1, 0, 1, 0])
+    code = gc.ideal_from_generators(C4, F2, [f])
+    assert code.basis == gc.ideal_from_generators(twin, F2, [f]).basis
+    assert code == gc.trivial_induced(C4, F2, Subgroup(twin, [0, 2]))
+    for group, field in ((make_elementary_abelian(2, 2), F2), (C4, F3)):
+        with pytest.raises(ValueError, match="generator over a different group or field"):
+            gc.ideal_from_generators(group, field, [f])
+    with pytest.raises(ValueError, match="subgroup belongs to a different group"):
+        gc.trivial_induced(make_elementary_abelian(2, 2), F2, Subgroup(twin, [0, 2]))
+
+
 def test_trivial_induced_examples():
     whole = Subgroup(C4, range(4))
     top = gc.trivial_induced(C4, F2, whole)
@@ -141,7 +156,7 @@ def test_is_ideal_translates_by_the_generators_only(monkeypatch):
 
 
 def test_min_distance_examples_and_oracle():
-    assert gc.full_algebra(C4, F2).min_distance() == 1
+    assert oracles.full_algebra(C4, F2).min_distance() == 1
     for group, field in ((make_cyclic(6), F2), (C4, F3)):
         for _, code in enumerate_cyclic_ideals(group, field):
             expected = oracles.min_distance_scan(code.basis.matrix.tolist(), field.p)
@@ -150,8 +165,8 @@ def test_min_distance_examples_and_oracle():
 
 def test_min_distance_guard_and_zero():
     with pytest.raises(ValueError):
-        gc.zero_code(C4, F2).min_distance()
-    big = gc.full_algebra(make_cyclic(8), F2)
+        oracles.zero_code(C4, F2).min_distance()
+    big = oracles.full_algebra(make_cyclic(8), F2)
     with pytest.raises(GuardExceeded):
         big.min_distance(guard=100)
     assert big.min_distance(guard=256) == 1
@@ -161,7 +176,7 @@ def test_min_distance_env_guard(monkeypatch):
     # guard=None reads DEFAULT_GUARD; no other setting changes the default
     monkeypatch.setattr(gc, "DEFAULT_GUARD", 4)
     with pytest.raises(GuardExceeded):
-        gc.full_algebra(C4, F2).min_distance()
+        oracles.full_algebra(C4, F2).min_distance()
 
 
 def full_scan(rows, p):
@@ -208,19 +223,27 @@ def test_split_scan_matches_the_chunked_scan_and_the_oracle(case):
         assert got[0] == oracles.min_distance_scan(rows.tolist(), p)
 
 
+def assert_leading_one_minimum(code):
+    """The scan equals the brute-force scan of the leading-digit-1 messages,
+    its d is the minimum over every message, and the word it names has
+    identity coefficient 1."""
+    rows, p = code.basis.matrix, code.field.p
+    lead = p ** (code.dim - 1)  # messages lead..2*lead-1 have leading digit 1
+    got = code._min_scan()
+    assert got == oracles.min_scan_chunked(rows, p, start=lead, stop=2 * lead)
+    assert got[0] == oracles.min_scan_chunked(rows, p)[0]
+    word = code.min_weight_codeword()
+    assert word.coeffs[0] == 1 and word.weight() == got[0]
+
+
 def test_split_scan_on_every_acceptance_sweep_ideal():
-    checked, leading = 0, set()
+    checked = 0
     for specs, field in ((SWEEP_F2, F2), (SWEEP_F3, F3)):
         for spec in specs:
             for _, code in enumerate_cyclic_ideals(from_spec(spec), field):
-                ref = oracles.min_scan_chunked(code.basis.matrix, field.p)
-                assert code._min_scan() == ref
-                assert gc._min_weight(code.basis.matrix, field.p) == ref[0]
-                leading.add(ref[1] // field.p ** (code.dim - 1))
+                assert_leading_one_minimum(code)
                 checked += 1
     assert checked == 154
-    # first minima among the leading-0 messages and among the leading-1 ones
-    assert leading == {0, 1}
 
 
 IDEAL_SCAN_GROUPS = (
@@ -267,22 +290,21 @@ def ideal_scan_cases(draw):
 @settings(max_examples=120, deadline=None)
 @given(ideal_scan_cases())
 def test_ideal_scan_matches_the_chunked_scan(code):
-    rows, p = code.basis.matrix, code.field.p
-    got = code._min_scan()
-    assert got == oracles.min_scan_chunked(rows, p)
-    assert gc._min_weight(rows, p) == got[0]
+    assert_leading_one_minimum(code)
 
 
 def test_scan_needs_column_0_as_row_0_pivot():
     for rows in ([[0, 1, 1]], [[1, 1, 0], [1, 0, 1]], [[2, 1, 0]], np.zeros((0, 3), int)):
-        for scan in (gc._split_scan, gc._min_weight):
-            with pytest.raises(ValueError, match="column 0 must be row 0's pivot"):
-                scan(np.array(rows, dtype=np.int64).reshape(-1, 3), 3)
+        with pytest.raises(ValueError, match="column 0 must be row 0's pivot"):
+            gc._split_scan(np.array(rows, dtype=np.int64).reshape(-1, 3), 3)
 
 
 def test_rm_2_6_scan_is_pinned_and_fast(tmp_path, capsys):
     code = constructions.reed_muller(2, 6)
-    assert code._min_scan() == (16, 1)
+    # d = 16, first reached by the leading-1 message 2^21 + 2247
+    assert code._min_scan() == (16, 2099399)
+    ref = oracles.min_scan_chunked(code.basis.matrix, 2, start=1 << 21, stop=2099400)
+    assert ref == (16, 2099399)
     path = str(tmp_path / "rm26.json")
     gc.save_code(code, path)
     t0 = time.perf_counter()
@@ -290,8 +312,8 @@ def test_rm_2_6_scan_is_pinned_and_fast(tmp_path, capsys):
     elapsed = time.perf_counter() - t0
     out = json.loads(capsys.readouterr().out)
     assert rc == 0 and (out["n"], out["k"], out["d"]) == (64, 22, 16)
-    # 2^21 messages with leading digit 1, then one block of leading-0 ones;
-    # one digit matmul per message over all 2^22 took about 12 s
+    # the 2^21 messages with leading digit 1; one digit matmul per message
+    # over all 2^22 took about 12 s
     assert elapsed < 2.0
 
 
@@ -312,7 +334,7 @@ def test_min_scan_runs_once_per_code(monkeypatch):
 
 
 def test_cached_scan_still_checks_the_guard():
-    code = gc.full_algebra(make_cyclic(8), F2)
+    code = oracles.full_algebra(make_cyclic(8), F2)
     assert code.min_distance() == 1  # scanned and kept
     for call in (code.min_distance, code.min_weight_codeword, code.params):
         with pytest.raises(GuardExceeded):
@@ -320,17 +342,21 @@ def test_cached_scan_still_checks_the_guard():
     assert code.min_distance(guard=256) == 1
 
 
-def test_min_weight_codeword_is_lex_first():
+def test_min_weight_codeword_is_first_with_identity_coefficient_1():
     code = gc.trivial_induced(C4, F2, Subgroup(C4, [0, 2]))
     word = code.min_weight_codeword()
-    # messages (0,1) -> second basis row comes first in lexicographic order
-    assert word.coeffs.tolist() == [0, 1, 0, 1]
+    # message (0,1), the second basis row, comes first but misses the
+    # identity; (1,0), the first row, is the first leading-1 message
+    assert word.coeffs.tolist() == [1, 0, 1, 0]
     assert word.weight() == code.min_distance()
+    # over F_3 the scalar multiple with identity coefficient 1
+    line = gc.ideal_from_generators(C2, F3, [AlgElem(C2, F3, [2, 1])])
+    assert line.min_weight_codeword().coeffs.tolist() == [1, 2]
 
 
 def test_dual_examples():
-    assert gc.full_algebra(C4, F2).dual().dim == 0
-    assert gc.zero_code(C4, F2).dual().dim == 4
+    assert oracles.full_algebra(C4, F2).dual().dim == 0
+    assert oracles.zero_code(C4, F2).dual().dim == 4
     for group, field in ((make_cyclic(6), F2), (C4, F3)):
         for _, code in enumerate_cyclic_ideals(group, field):
             dd = code.dual().dual()
@@ -338,10 +364,10 @@ def test_dual_examples():
 
 
 def test_self_orthogonal_examples():
-    assert gc.zero_code(C4, F2).is_self_orthogonal()
+    assert oracles.zero_code(C4, F2).is_self_orthogonal()
     line = gc.ideal_from_generators(C2, F2, [AlgElem(C2, F2, [1, 1])])
     assert line.is_self_orthogonal()
-    assert not gc.full_algebra(C2, F2).is_self_orthogonal()
+    assert not oracles.full_algebra(C2, F2).is_self_orthogonal()
 
 
 def test_self_orthogonal_matches_augmentation_route():
@@ -353,9 +379,9 @@ def test_self_orthogonal_matches_augmentation_route():
 
 
 def test_params_bound_and_equality():
-    rep = gc.full_algebra(make_cyclic(8), F2).params()
+    rep = oracles.full_algebra(make_cyclic(8), F2).params()
     assert rep.product == 8 and rep.equality
-    zero = gc.zero_code(C4, F2).params()
+    zero = oracles.zero_code(C4, F2).params()
     assert zero.distance is None and zero.product is None and not zero.equality
     assert zero.bound_ok
 
@@ -396,7 +422,7 @@ def test_code_json_embedded_group(tmp_path):
     from gcodelab.groups import Group
 
     anon = Group(C4.table, labels=C4.labels, name="anon")  # no source spec
-    code = gc.full_algebra(anon, F3)
+    code = oracles.full_algebra(anon, F3)
     path = tmp_path / "anon.json"
     gc.save_code(code, str(path))
     data = json.loads(path.read_text())
@@ -414,11 +440,11 @@ def test_non_ideal_basis_rejected_on_load(tmp_path):
 
 def test_equality_and_key_depend_on_the_group():
     # the same basis over C4 and over C2 x C2 spans ideals of different algebras
-    c4, v4 = gc.full_algebra(C4, F2), gc.full_algebra(make_elementary_abelian(2, 2), F2)
+    c4, v4 = oracles.full_algebra(C4, F2), oracles.full_algebra(make_elementary_abelian(2, 2), F2)
     assert c4.basis == v4.basis
     assert c4 != v4 and c4.key() != v4.key() and hash(c4) != hash(v4)
     assert len({c4, v4}) == 2
     # a separately built group with the same Cayley table gives equal codes
     twin = Group(C4.table, labels=C4.labels, name="twin")
-    same = gc.full_algebra(twin, F2)
+    same = oracles.full_algebra(twin, F2)
     assert same == c4 and same.key() == c4.key() and hash(same) == hash(c4)

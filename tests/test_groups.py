@@ -232,6 +232,17 @@ def test_same_group_is_identity_then_table():
     assert not groups.same_group(c4, groups.make_cyclic(8))
 
 
+def test_subgroups_of_equal_table_copies_are_equal():
+    c4, twin = groups.make_cyclic(4), groups.make_cyclic(4)
+    h, h_twin = groups.Subgroup(c4, [0, 2]), groups.Subgroup(twin, [0, 2])
+    assert h == h_twin and hash(h) == hash(h_twin)
+    assert groups.right_cosets(c4, h_twin) == [[0, 2], [1, 3]]
+    v4 = groups.make_elementary_abelian(2, 2)
+    assert groups.Subgroup(v4, [0, 2]) != h
+    with pytest.raises(ValueError, match="subgroup belongs to a different group"):
+        groups.right_cosets(v4, h)
+
+
 def test_corrupt_tables_rejected():
     c4 = groups.make_cyclic(4)
     bad = c4.table.copy()

@@ -30,12 +30,12 @@ S3 = make_symmetric(3)
 
 
 def test_greedy_support_rank_examples():
-    t, seq = theorems.greedy_support_rank(C8, {0})
+    t, seq = oracles.greedy_support_rank(C8, {0})
     assert t == 8 and seq == list(range(8))
-    t, _ = theorems.greedy_support_rank(C8, range(8))
+    t, _ = oracles.greedy_support_rank(C8, range(8))
     assert t == 1
     h = subgroup_generated(C8, [4])
-    t, seq = theorems.greedy_support_rank(C8, h.members)
+    t, seq = oracles.greedy_support_rank(C8, h.members)
     assert t == h.index
     # the kept representatives tile the group exactly like the coset blocks
     blocks = right_cosets(C8, h)
@@ -45,9 +45,9 @@ def test_greedy_support_rank_examples():
 
 def test_greedy_support_rank_validation():
     with pytest.raises(ValueError):
-        theorems.greedy_support_rank(C8, set())
+        oracles.greedy_support_rank(C8, set())
     with pytest.raises(ValueError):
-        theorems.greedy_support_rank(C8, {0}, order=[0, 1])
+        oracles.greedy_support_rank(C8, {0}, order=[0, 1])
 
 
 def test_uncertainty_check_examples():
@@ -133,7 +133,7 @@ def test_equality_analysis_ternary_line():
 def test_equality_analysis_none_above_bound():
     assert theorems.equality_analysis(constructions.reed_muller(1, 3)) is None
     with pytest.raises(ValueError):
-        theorems.equality_analysis(gc.zero_code(C8, F2))
+        theorems.equality_analysis(oracles.zero_code(C8, F2))
 
 
 def test_idempotent_generator_cases():
@@ -142,7 +142,7 @@ def test_idempotent_generator_cases():
     w = theorems.equality_analysis(line)
     assert w is not None and w.idempotent is None
     # |H| = 1: the unit-supported generator normalizes to an idempotent
-    full = gc.full_algebra(C2, F3)
+    full = oracles.full_algebra(C2, F3)
     w = theorems.equality_analysis(full)
     assert w is not None and w.idempotent is not None
     e = w.idempotent
@@ -208,7 +208,7 @@ def test_solv_check_instances():
     v = theorems.solv_check(cover)
     assert v["applicable"] and v["square_is_cover"] and v["code_in_cover"]
 
-    v = theorems.solv_check(gc.full_algebra(S3, F2))
+    v = theorems.solv_check(oracles.full_algebra(S3, F2))
     assert v["applicable"] and not v["square_is_cover"] and not v["code_in_cover"]
 
     ones = gc.ideal_from_generators(S3, F2, [AlgElem.all_ones(S3, F2)])
@@ -216,7 +216,7 @@ def test_solv_check_instances():
     assert not v["applicable"] and v["code_in_cover"] and not v["square_is_cover"]
 
     with pytest.raises(ValueError):
-        theorems.solv_check(gc.full_algebra(C2, F3))
+        theorems.solv_check(oracles.full_algebra(C2, F3))
 
 
 def test_solv_check_biconditional_sweep_s3():
@@ -268,7 +268,7 @@ def test_greedy_lengths_match_the_greedy_walk(spec, p):
     shuffled = random.Random(theorems._SHUFFLE_SEED).sample(range(n), n)
     for order in (np.arange(n), shuffled):
         t, covers = theorems._greedy_lengths(masks, order, full)
-        want = [theorems.greedy_support_rank(group, np.flatnonzero(b), order)[0] for b in bits]
+        want = [oracles.greedy_support_rank(group, np.flatnonzero(b), order)[0] for b in bits]
         assert t.tolist() == want and covers.all()
     # no support covers nothing; a union that fills word 0 alone covers the
     # group only when there is no second word
@@ -416,6 +416,15 @@ def test_orbit_tables_split_the_digits_into_blocks(n, p, blocks):
     assert [(step, size) for step, size, _ in tables] == blocks
     for _, size, table in tables:
         assert table.shape == (size, n * (p - 1))
+
+
+def test_orbit_tables_hold_indices_up_to_2_63():
+    # C63/F2 is the largest binary order whose indices fit int64: in every
+    # column the block maxima sum to the index of the all-ones word, 2^63 - 1
+    tables = theorems._orbit_tables(make_cyclic(63).table, 2)
+    assert sum(t.max(axis=0).astype(object) for _, _, t in tables).tolist() == [2**63 - 1] * 63
+    with pytest.raises(ValueError, match=r"need p\^\|G\| <= 2\^63, not 2\^64"):
+        theorems._orbit_tables(make_cyclic(64).table, 2)
 
 
 @pytest.mark.parametrize("spec, p", [("symmetric:3", 3), ("cyclic:7", 3), ("dihedral:6", 2)])
@@ -641,7 +650,7 @@ def test_uncertainty_checks_match_the_oracles_row_for_row(spec, p):
         assert len(got) == len(coeffs)
         for c, rank, res in zip(coeffs, ranks, got):
             support = np.flatnonzero(c).tolist()
-            t, _ = theorems.greedy_support_rank(group, support, order)
+            t, _ = oracles.greedy_support_rank(group, support, order)
             assert res == (len(support), rank, t, n)
 
 
@@ -809,7 +818,7 @@ def test_verify_equality_builds_each_witness_code_once(monkeypatch):
     assert differ == [29, 455]
 
     def zero_code(group, field, sub):
-        return gc.zero_code(group, field)
+        return oracles.zero_code(group, field)
 
     monkeypatch.setattr(gc, "trivial_induced", zero_code)
     rep = theorems.verify_equality(c6, F3, ideals=ideals)
