@@ -6,6 +6,8 @@ forms componentwise products and power chains, and machine-checks the
 structural statements on concrete small groups.
 """
 
+from types import ModuleType as _ModuleType
+
 from .constructions import GolaySearchResult, golay_search, reed_muller, rm_schur_square_check
 from .errors import GuardExceeded, UnsupportedCover, VerificationError
 from .ffield import PrimeField
@@ -66,5 +68,6 @@ from .theorems import (
     verify_uncertainty,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the API names, without the submodules that importing them binds here
+__all__ = [k for k, v in sorted(vars().items()) if k[0] != "_" and not isinstance(v, _ModuleType)]
 __version__ = "0.1.0"

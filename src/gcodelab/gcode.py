@@ -287,14 +287,13 @@ def ideal_from_generators(group: Group, field: PrimeField, gens) -> GCode:
 
 def trivial_induced(group: Group, field: PrimeField, h: Subgroup) -> GCode:
     """The ideal spanned by the right-coset indicator sums of the subgroup;
-    parameters are k = [G:H] and d = |H|.  In `right_cosets` order the rows
-    are already the canonical RREF, each pivot at its block's first element:
-    the blocks are disjoint and start at increasing representatives."""
-    blocks = groups.right_cosets(group, h)
-    rows = np.zeros((len(blocks), group.order), dtype=np.int64)
-    for i, block in enumerate(blocks):
-        rows[i, block] = 1
-    return GCode(group, linalg.RowBasis(rows, [block[0] for block in blocks], field))
+    parameters are k = [G:H] and d = |H|.  Row i marks the elements whose
+    `groups.coset_minima` entry is the i-th smallest coset minimum, which is
+    its pivot: disjoint blocks at increasing first elements are already the
+    canonical RREF."""
+    minima = groups.coset_minima(group, h)
+    pivots = np.unique(minima)
+    return GCode(group, linalg.RowBasis(minima == pivots[:, None], pivots, field))
 
 
 def augmentation_ideal(group: Group, field: PrimeField) -> GCode:

@@ -209,21 +209,22 @@ def subgroup_generated(g: Group, seeds) -> Subgroup:
     return Subgroup(g, np.flatnonzero(_closure(g.table, inside)).tolist())
 
 
-def right_cosets(g: Group, h: Subgroup) -> list[list[int]]:
-    """Partition into right cosets Hx; first block is H, then by smallest
-    uncovered representative."""
+def coset_minima(g: Group, h: Subgroup) -> np.ndarray:
+    """The one coset map: entry x is the smallest element of the right coset
+    Hx = {h*x : h in H}, the minimum over the table rows of H's members, so
+    x is its coset's smallest element exactly when entry x is x."""
     if not same_group(h.group, g):
         raise ValueError("subgroup belongs to a different group")
-    covered = np.zeros(g.order, dtype=bool)
-    blocks: list[list[int]] = []
-    mem = list(h.members)
-    for rep in range(g.order):
-        if covered[rep]:
-            continue
-        block = sorted(int(g.table[x, rep]) for x in mem)
-        covered[block] = True
-        blocks.append(block)
-    return blocks
+    members = np.array(h.members)
+    step = max(1, _BLOCK // g.order)  # table rows per gather
+    blocks = [g.table[members[i : i + step]].min(axis=0) for i in range(0, len(h), step)]
+    return np.minimum.reduce(blocks)
+
+
+def right_cosets(g: Group, h: Subgroup) -> list[list[int]]:
+    """The right cosets Hx, the blocks of `coset_minima`: each ascending, in
+    order of their smallest elements, so H comes first."""
+    return np.argsort(coset_minima(g, h), kind="stable").reshape(h.index, len(h)).tolist()
 
 
 def p_part_int(n: int, p: int) -> int:
@@ -390,7 +391,7 @@ def from_spec(spec: str) -> Group:
         for part in parts[1:]:
             g = direct_product(g, from_spec(part))
         return g
-    head, _, arg = spec.partition(":")
+    head, colon, arg = spec.partition(":")
     head = head.lower()
     if head == "cyclic":
         return make_cyclic(int(arg))
@@ -398,7 +399,7 @@ def from_spec(spec: str) -> Group:
         return make_dihedral(int(arg))
     if head == "symmetric":
         return make_symmetric(int(arg))
-    if head == "quaternion8":
+    if head == "quaternion8" and not colon:  # with an argument it is unknown
         return make_quaternion8()
     if head == "elemabelian":
         p, m = (int(x) for x in arg.split(","))

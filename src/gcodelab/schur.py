@@ -32,11 +32,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gcode, linalg
+from . import linalg
 from .errors import VerificationError
 from .ffield import PrimeField
 from .gcode import GCode
-from .groups import Group, Subgroup, same_group
+from .groups import Group, Subgroup, coset_minima, same_group
 
 __all__ = [
     "schur_product",
@@ -263,8 +263,10 @@ def fixed_point_structure(code: GCode) -> Subgroup:
     indicators of disjoint blocks, and a nonzero ideal has no zero column,
     so the identity's block is the set of columns of the canonical basis
     equal to column 0.  That block is certified to be a subgroup H whose
-    coset-indicator span equals the code, which also proves C*C = C.  Only
-    a code failing the certificate is squared: ValueError when it is not
+    coset-indicator span equals the code, which also proves C*C = C: a
+    basis constant on every right coset of H (`coset_minima`) spans part of
+    that span, and dim C * |H| = |G| makes it all of it.  Only a code
+    failing the certificate is squared: ValueError when it is not
     Schur-fixed, VerificationError (a bug) when it is.
     """
     if code.is_zero():
@@ -277,7 +279,8 @@ def fixed_point_structure(code: GCode) -> Subgroup:
     except ValueError:
         pass
     else:
-        if gcode.trivial_induced(group, code.field, sub) == code:
+        minima = coset_minima(group, sub)
+        if code.dim * len(sub) == group.order and np.array_equal(basis, basis[:, minima]):
             return sub
     if schur_product(code, code) != code:
         raise ValueError("code is not fixed under its own Schur square")

@@ -22,7 +22,7 @@ from .errors import UnsupportedCover, VerificationError
 from .ffield import PrimeField
 from .galg import AlgElem, translate_weights
 from .gcode import GCode
-from .groups import Group, Subgroup, is_p_group, normal_p_complement, p_part
+from .groups import Group, Subgroup, coset_minima, is_p_group, normal_p_complement, p_part
 
 
 class UncertaintyResult(NamedTuple):
@@ -128,6 +128,9 @@ def equality_analysis(
     subgroup, the code is generated by c, the ideal cKH is one-dimensional,
     and (over a p-group in characteristic p) the code is the induced span of
     H-coset indicators; elsewhere that induced span meets d*k = |G| as well.
+    Since |H| = d and d*k = |G|, the code is that span exactly when its
+    basis is constant on every right coset of H (`coset_minima`); only a
+    code that is not builds the span, for its parameters.
     """
     if code.is_zero():
         raise ValueError("equality analysis needs a nonzero code")
@@ -144,21 +147,19 @@ def equality_analysis(
         sub = Subgroup(group, members)
     except ValueError:
         raise VerificationError("minimum-weight support is not a subgroup") from None
-    if len(sub) != d:
-        raise VerificationError("support size differs from the minimum distance")
     regenerated = gc.ideal_from_generators(group, field, [c])
     if regenerated != code:
         raise VerificationError("minimum-weight word fails to regenerate the code")
     if _restricted_rank(c, sub) != 1:
         raise VerificationError("restriction of the generator ideal is not a line")
-    # k = [G:H] = dim C, so the guard passes the induced code as it did the ideal
-    induced = gc.trivial_induced(group, field, sub)
-    if induced != code:
+    basis = code.basis.matrix
+    if not np.array_equal(basis, basis[:, coset_minima(group, sub)]):
         if is_p_group(group, field.p):
             raise VerificationError(
                 "p-group equality code is not the induced indicator span"
             )
-        if not induced.params(guard=guard).equality:
+        # k = [G:H] = dim C, so the guard passes the induced code as it did the ideal
+        if not gc.trivial_induced(group, field, sub).params(guard=guard).equality:
             raise VerificationError("induced code misses the bound")
     e = idempotent_generator(code, sub, c)
     return EqualityWitness(sub, c, e)

@@ -189,6 +189,23 @@ def subgroup_bfs(table, inverse, seeds):
     return members
 
 
+def two_generated_subgroups(table, inverse):
+    """Every subgroup generated by at most two elements, as sorted member
+    tuples in sorted order.  That is every subgroup of S3, D4, Q8, D6 and S4."""
+    n = len(table)
+    return sorted(
+        {tuple(sorted(subgroup_bfs(table, inverse, [a, b]))) for a in range(n) for b in range(a, n)}
+    )
+
+
+def cosets_scan(table, members, side="right"):
+    """The right cosets {h*x : h in H} (or the left cosets {x*h}), each
+    sorted, in order of their smallest elements."""
+    if side == "right":
+        return sorted({tuple(sorted({table[h][x] for h in members})) for x in range(len(table))})
+    return sorted({tuple(sorted({table[x][h] for h in members})) for x in range(len(table))})
+
+
 def element_orders_scan(table):
     """Order of each element, by repeated product until the identity."""
     orders = []

@@ -613,6 +613,15 @@ def test_a_malformed_file_is_a_usage_error(tmp_path, capsys, case):
     assert captured.err == line + "\n"
 
 
+@pytest.mark.parametrize("spec", ["quaternion8:5", "quaternion8:abc", "quaternion8:"])
+def test_quaternion8_with_an_argument_is_a_usage_error(capsys, spec):
+    # Q8 was built and the argument dropped, so this exited 0
+    assert cli.run(["group", "show", "--group", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown group spec {spec!r}\n"
+
+
 def test_a_zero_code_file_still_loads(tmp_path, capsys):
     # its empty basis reads as a float array, which holds no entry to check
     zero = tmp_path / "zero.json"

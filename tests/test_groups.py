@@ -122,6 +122,41 @@ def test_right_cosets():
     assert groups.right_cosets(c4, triv) == [[0], [1], [2], [3]]
 
 
+# every subgroup of each group, and how many of them are not normal
+SUBGROUP_COUNTS = {
+    "symmetric:3": (6, 3),
+    "dihedral:4": (10, 4),
+    "quaternion8": (6, 0),
+    "dihedral:6": (16, 9),
+    "symmetric:4": (30, 26),
+}
+
+
+@pytest.mark.parametrize("spec", list(SUBGROUP_COUNTS))
+def test_coset_map_matches_brute_force_right_cosets(spec):
+    g = groups.from_spec(spec)
+    table, inverse = g.table.tolist(), g.inverse.tolist()
+    subgroups = oracles.two_generated_subgroups(table, inverse)
+    lopsided = 0  # subgroups whose left cosets are not their right cosets
+    for members in subgroups:
+        h = groups.Subgroup(g, members)
+        cosets = oracles.cosets_scan(table, members)
+        minimum = {x: coset[0] for coset in cosets for x in coset}
+        assert groups.coset_minima(g, h).tolist() == [minimum[x] for x in range(g.order)]
+        assert groups.right_cosets(g, h) == [list(coset) for coset in cosets]
+        lopsided += cosets != oracles.cosets_scan(table, members, side="left")
+    assert (len(subgroups), lopsided) == SUBGROUP_COUNTS[spec]
+
+
+def test_coset_map_in_row_blocks():
+    # at order 1024 a gather holds 128 table rows, so H = <r^2> takes 4
+    c1024 = groups.make_cyclic(1024)
+    h = groups.subgroup_generated(c1024, [2])
+    assert len(h) == 512
+    assert groups.coset_minima(c1024, h).tolist() == [x % 2 for x in range(1024)]
+    assert groups.right_cosets(c1024, h) == [list(range(0, 1024, 2)), list(range(1, 1024, 2))]
+
+
 def test_cosets_partition_property():
     d4 = groups.make_dihedral(4)
     for seed in range(d4.order):
@@ -334,6 +369,12 @@ def test_from_spec():
     assert g.order == 8 and g.source == "cyclic:4xcyclic:2"
     with pytest.raises(ValueError):
         groups.from_spec("frobnicate:9")
+    # quaternion8 takes no argument; it used to be dropped
+    for spec in ("quaternion8:5", "quaternion8:abc", "quaternion8:"):
+        with pytest.raises(ValueError, match=f"unknown group spec '{spec}'"):
+            groups.from_spec(spec)
+    with pytest.raises(ValueError, match="unknown group spec 'quaternion8:5'"):
+        groups.from_spec("quaternion8:5xcyclic:2")
 
 
 def test_json_round_trip(tmp_path):

@@ -9,6 +9,7 @@ from gcodelab.ffield import PrimeField
 from gcodelab.galg import AlgElem
 from gcodelab.groups import (
     Subgroup,
+    coset_minima,
     from_spec,
     make_cyclic,
     make_dihedral,
@@ -247,6 +248,67 @@ def test_fixed_points_are_induced_spans_sweep():
             assert len(sub) == code.min_distance()
 
 
+def _subgroups(group):
+    table, inverse = group.table.tolist(), group.inverse.tolist()
+    return [Subgroup(group, m) for m in oracles.two_generated_subgroups(table, inverse)]
+
+
+@pytest.mark.parametrize(
+    "spec, p",
+    [("dihedral:4", 2), ("dihedral:4", 3), ("symmetric:3", 3), ("quaternion8", 2), ("dihedral:6", 2)],
+)
+def test_basis_check_agrees_with_the_induced_code(monkeypatch, spec, p):
+    # the certificates read a code's own basis: constant on every right coset
+    # of H, with dim * |H| = |G|, exactly when the code is H's induced span
+    group, field = from_spec(spec), PrimeField(p)
+    induced = gc.trivial_induced
+    built = []
+
+    def counted(group, field, sub):
+        built.append(sub.members)
+        return induced(group, field, sub)
+
+    monkeypatch.setattr(gc, "trivial_induced", counted)
+    subgroups = _subgroups(group)
+    fixed_codes = equality_codes = 0
+    for _, code in enumerate_cyclic_ideals(group, field):
+        basis = code.basis.matrix
+        try:
+            fixed = schur.fixed_point_structure(code)
+            fixed_codes += 1
+        except ValueError:
+            fixed = None
+        for h in subgroups:
+            if code.dim * len(h) != group.order:
+                continue
+            is_induced = induced(group, field, h) == code
+            assert np.array_equal(basis, basis[:, coset_minima(group, h)]) == is_induced
+            assert (fixed == h) == is_induced
+        # equality_analysis builds the induced code only when it differs
+        assert built == []
+        witness = theorems.equality_analysis(code)
+        if witness is not None:
+            equality_codes += 1
+            differs = induced(group, field, witness.subgroup) != code
+            assert built == ([witness.subgroup.members] if differs else [])
+            built.clear()
+    assert fixed_codes > 2 and equality_codes > 2
+
+
+def test_fixed_point_structure_on_every_s4_induced_code():
+    s4 = make_symmetric(4)
+    subgroups = _subgroups(s4)
+    assert len(subgroups) == 30
+    for h in subgroups:
+        code = gc.trivial_induced(s4, F2, h)
+        assert schur.fixed_point_structure(code) == h
+        basis = code.basis.matrix
+        for other in subgroups:
+            if len(other) == len(h):
+                constant = np.array_equal(basis, basis[:, coset_minima(s4, other)])
+                assert constant == (gc.trivial_induced(s4, F2, other) == code) == (other == h)
+
+
 def test_fixed_point_structure_squares_only_a_failing_code(monkeypatch):
     squares = []
     product = schur.schur_product
@@ -262,8 +324,9 @@ def test_fixed_point_structure_squares_only_a_failing_code(monkeypatch):
     with pytest.raises(ValueError):
         schur.fixed_point_structure(gc.augmentation_ideal(C4, F2))
     assert len(squares) == 1
-    # a Schur-fixed code that fails its certificate is a bug, not bad input
-    monkeypatch.setattr(gc, "trivial_induced", lambda *args: oracles.full_algebra(C4, F2))
+    # a Schur-fixed code that fails its certificate is a bug, not bad input:
+    # read as one coset, its basis is not constant on it
+    monkeypatch.setattr(schur, "coset_minima", lambda g, h: np.zeros(g.order, dtype=np.int64))
     with pytest.raises(VerificationError, match="identity block"):
         schur.fixed_point_structure(code)
     assert len(squares) == 2

@@ -802,10 +802,11 @@ def test_verify_equality_builds_each_witness_code_once(monkeypatch):
     monkeypatch.setattr(gc, "trivial_induced", counted)
     c16 = make_cyclic(16)
     rep = theorems.verify_equality(c16, F2)
-    assert rep["failures"] == [] and len(built) == len(set(built)) == 5
+    # every certified ideal is read from its own basis
+    assert rep["failures"] == [] and rep["checked"] > 0 and built == []
 
-    # C6 is not a 3-group: two witness codes differ from their ideal, so the
-    # bound is checked on the witness code itself
+    # C6 is not a 3-group: two witness codes differ from their ideal, and
+    # only they build it, to check the bound on the witness code itself
     c6 = make_cyclic(6)
     ideals = theorems.enumerate_cyclic_ideals(c6, F3)
     witnesses = {fidx: theorems.equality_analysis(code) for fidx, code in ideals}
@@ -815,7 +816,8 @@ def test_verify_equality_builds_each_witness_code_once(monkeypatch):
         for fidx, code in ideals
         if fidx in certified and induced(c6, F3, witnesses[fidx].subgroup) != code
     ]
-    assert differ == [29, 455]
+    assert differ == [29, 455] and len(certified) > len(differ)
+    assert built == [witnesses[fidx].subgroup.members for fidx in differ]
 
     def zero_code(group, field, sub):
         return oracles.zero_code(group, field)
@@ -823,7 +825,7 @@ def test_verify_equality_builds_each_witness_code_once(monkeypatch):
     monkeypatch.setattr(gc, "trivial_induced", zero_code)
     rep = theorems.verify_equality(c6, F3, ideals=ideals)
     assert rep["failures"] == [
-        {"f": fidx, "reason": "induced code misses the bound"} for fidx in certified
+        {"f": fidx, "reason": "induced code misses the bound"} for fidx in differ
     ]
 
 
