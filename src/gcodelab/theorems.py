@@ -10,6 +10,7 @@ machine-checkable form of the structure results.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
@@ -315,13 +316,17 @@ def solv_check(code: GCode) -> dict:
 # minima (the orbit pass): one translate matrix per minimum, row j = f*g_j,
 # reduced in batches by _reduce -- over odd p as a stack of byte-sized digits
 # (for p < 257), over F_2 as packed words, digits @ galg.translate_weights,
-# with no (batch, n, n) stack.  The bytes of each reduced matrix key the
-# deduplication (the RREF is unique); the kept ideals' rows stay in that form
-# until linalg.reduced_basis makes each a basis.  The generators of an ideal
-# form a union of orbits, so its smallest generator -- the tag the sweeps
-# report -- is an orbit minimum and the tags are those of an unpruned sweep.
-# Sampled sweeps eliminate the sampled generators themselves, with no orbit
-# pass over all p^n indices.
+# with no (batch, n, n) stack.  Over a p-group F_p[G] is local, its maximal
+# ideal the augmentation ideal, so the f with nonzero coefficient sum are
+# units: _units marks them, they get rank |G| uneliminated, and the whole
+# algebra enters the ideal list once, under the first of them.  The bytes of
+# each other reduced matrix key the deduplication (the RREF is unique); the
+# kept ideals' rows stay in that form until linalg.reduced_basis makes each a
+# basis.  The generators of an ideal form a union of orbits, so its smallest
+# generator -- the tag the sweeps report -- is an orbit minimum and the tags
+# are those of an unpruned sweep.  Sampled sweeps eliminate the sampled
+# generators themselves (units excepted), with no orbit pass over all p^n
+# indices.
 #
 # Orbit minima by digit-block lookup.  A table gives n maps of coordinates:
 # map j moves coordinate x of f to table[x, j], so group.table gives
@@ -391,7 +396,9 @@ class SweepOrbits(NamedTuple):
     as (smallest generator index, canonical RREF rows), in order of that
     index.  The rows stay in the form the elimination kernel gave them
     (packed words over F_2, its work dtype over odd p) until
-    linalg.reduced_basis makes them a basis.
+    linalg.reduced_basis makes them a basis.  Over a p-group the units are
+    not eliminated: their rank is |G|, and the whole algebra's rows, under
+    index 1, are linalg.identity_rows in that same form.
     """
 
     minima: np.ndarray
@@ -428,18 +435,40 @@ def _translate_index(group: Group) -> np.ndarray:
     return group.table[:, group.inverse].T
 
 
+def _units(digits: np.ndarray, group: Group, p: int) -> np.ndarray:
+    """Which f of a chunk are units, known without elimination.  Over a
+    p-group F_p[G] is a local ring whose maximal ideal is the augmentation
+    ideal, so f is a unit, of rank |G|, exactly when its coefficient sum is
+    nonzero mod p.  None is marked on any other group."""
+    if not is_p_group(group, p):
+        return np.zeros(len(digits), dtype=bool)
+    return digits.sum(axis=1) % p != 0
+
+
 def _reduce(
-    digits: np.ndarray, masks: np.ndarray | None, translate: np.ndarray, field: PrimeField
-) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk's elimination: the canonical RREF and rank of the translate
-    matrix of each f.  Over F_2 row j is the support mask of f*g_j, so a copy
-    of the mask words masks[w, f, j] is reduced by linalg.f2_rref_stack;
-    over odd p the digit stack, gathered at the narrowest dtype that holds a
-    digit, goes to linalg.rref_stack."""
+    digits: np.ndarray,
+    masks: np.ndarray | None,
+    translate: np.ndarray,
+    group: Group,
+    field: PrimeField,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One chunk's elimination: (reduced, ranks, units).  ranks holds dim
+    fF[G] for each f, |G| at the units that _units marks; reduced holds the
+    canonical RREF of the translate matrix of each other f, in order, and
+    only those are eliminated.  Over F_2 row j is the support mask of f*g_j,
+    so a copy of their mask words masks[w, f, j] is reduced by
+    linalg.f2_rref_stack; over odd p their digit stack, gathered at the
+    narrowest dtype that holds a digit, goes to linalg.rref_stack."""
+    units = _units(digits, group, field.p)
+    rest = ~units
+    ranks = np.full(len(digits), len(translate), dtype=np.int64)
     if field.p == 2:  # the words of pack_f2, (f, j, w), which it reduces in place
-        words = masks.copy().transpose(1, 2, 0).view(np.uint64)
-        return linalg.f2_rref_stack(words, len(translate))
-    return linalg.rref_stack(digits.astype(np.min_scalar_type(field.p - 1))[:, translate], field)
+        words = masks.compress(rest, axis=1).transpose(1, 2, 0).view(np.uint64)
+        reduced, ranks[rest] = linalg.f2_rref_stack(words, len(translate))
+    else:
+        stack = digits[rest].astype(np.min_scalar_type(field.p - 1))[:, translate]
+        reduced, ranks[rest] = linalg.rref_stack(stack, field)
+    return reduced, ranks, units
 
 
 def _eliminate(
@@ -447,24 +476,34 @@ def _eliminate(
 ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """Ranks of the ideals generated by the given ascending generator indices,
     and the distinct ideals among them as (first index, RREF rows in _reduce's
-    form)."""
+    form).  The units all generate the whole algebra and no other f does, so
+    it enters once, at the first unit, as linalg.identity_rows; the dedupe
+    loop runs over the eliminated f alone."""
     n, p = group.order, field.p
     translate, weights = _translate_index(group), translate_weights(group)
     ranks = np.empty(len(indices), dtype=np.int64)
     seen: set[bytes] = set()
     ideals: list[tuple[int, np.ndarray]] = []
+    whole = None  # the first unit's index
     for lo in range(0, len(indices), _SWEEP_CHUNK):
         idx = indices[lo : lo + _SWEEP_CHUNK]
         digits = _generator_digits(idx, n, p)
         # over F_2 the digits are the support indicators
-        reduced, rk = _reduce(digits, digits @ weights if p == 2 else None, translate, field)
+        reduced, rk, units = _reduce(
+            digits, digits @ weights if p == 2 else None, translate, group, field
+        )
         ranks[lo : lo + len(idx)] = rk
-        for j, (fidx, k) in enumerate(zip(idx.tolist(), rk.tolist())):
+        if whole is None and units.any():
+            whole = int(idx[units.argmax()])
+        rest = ~units
+        for j, (fidx, k) in enumerate(zip(idx[rest].tolist(), rk[rest].tolist())):
             rows = reduced[j, :k]
             key = rows.tobytes()
             if key not in seen:
                 seen.add(key)
                 ideals.append((fidx, rows.copy()))
+    if whole is not None:  # in tag order, among the ascending tags
+        bisect.insort(ideals, (whole, linalg.identity_rows(n, field)), key=lambda ideal: ideal[0])
     return ranks, ideals
 
 
@@ -560,7 +599,8 @@ def verify_uncertainty(
     Exhaustive mode checks m* for each minimum m of the orbit pass, which
     meets every orbit of f -> c*g*f once, at the rank of m: from `orbits`
     when given, else from _reduce one chunk at a time, with no ideal list.
-    Sampled mode ranks each sampled f by eliminating its translate matrix.
+    Sampled mode ranks each sampled f by eliminating its translate matrix,
+    units aside (_reduce).
     Every _CROSSCHECK_STRIDE-th f is re-verified through uncertainty_checks;
     see the comment block above.
     """
@@ -592,7 +632,7 @@ def verify_uncertainty(
         digits = _generator_digits(idx, n, p)
         masks = (digits != 0).astype(np.int64) @ W
         if ranks is None:
-            rk = _reduce(digits, masks, translate, field)[1]
+            rk = _reduce(digits, masks, translate, group, field)[1]
         else:
             rk = ranks[lo : lo + _SWEEP_CHUNK]
         # column 0, the identity translate, is f's own mask; bit 63 of a word

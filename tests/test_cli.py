@@ -546,6 +546,29 @@ def test_search_sweep_golden_at_the_caps(capsys, spec, p):
     assert (hashlib.sha256(out.encode()).hexdigest(), len(out.splitlines())) == (digest, lines)
 
 
+# sha256 of each sweep command's stdout on the trivial group, recorded before
+# units were given their rank without elimination; there every nonzero f is
+# a unit, so the elimination kernel gets no matrix
+TRIVIAL_GROUP_GOLDEN = {
+    ("verify all", "2"): "20f71597da5b51c9948baed7945746461ff7da9069f4913c2867b4b0ad04057e",
+    ("verify all", "3"): "46aa2513461dbd0a651293d2f4accdf53ea8a0df1129c766c70df859b44cd34d",
+    ("verify all", "5"): "bb9f5609cd1828f8692ba1f02ad06d90efd217975f0356609cd3a2204b633985",
+    ("verify up", "2"): "05275082b0ed53d7dc7e8f1662fc6e1be35018ffbcde71c157c5acd2207a5887",
+    ("verify up", "3"): "7ccba72bfbea72283119eab6e2dc4b0c1f31eed126515cd30fc5edd981167b04",
+    ("verify up", "5"): "55dc7f29e4a3570d3120f2be0561d91af4ae7c5254939ec53e4e205128bca3e8",
+    ("search sweep", "2"): "a2f32396b0de07f1eff91bbd6670b44b6b84a1dbf8f8a7509caaa49a65ac843d",
+    ("search sweep", "3"): "a2f32396b0de07f1eff91bbd6670b44b6b84a1dbf8f8a7509caaa49a65ac843d",
+    ("search sweep", "5"): "a2f32396b0de07f1eff91bbd6670b44b6b84a1dbf8f8a7509caaa49a65ac843d",
+}
+
+
+@pytest.mark.parametrize("command, p", list(TRIVIAL_GROUP_GOLDEN))
+def test_sweeps_over_the_trivial_group_golden(capsys, command, p):
+    assert cli.run(command.split() + ["--group", "cyclic:1", "--p", p, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TRIVIAL_GROUP_GOLDEN[(command, p)]
+
+
 # each malformed file with the command that reads it; every one exited 0 or
 # exited 1 with a traceback
 MALFORMED_FILES = {

@@ -479,6 +479,148 @@ def test_sampled_enumeration_on_two_word_rows_matches_per_generator_rref():
     assert all(code.basis == expected[code.basis.key()][1] for _, code in found)
 
 
+# the p-groups the catalogue builds at small order, with their characteristic
+_P_GROUPS = [
+    *[
+        (spec, 2)
+        for spec in ("cyclic:2", "cyclic:4", "cyclic:8", "cyclic:16", "elemabelian:2,2")
+        + ("elemabelian:2,3", "cyclic:4xcyclic:2", "dihedral:4", "quaternion8", "dihedral:8")
+    ],
+    *[(spec, 3) for spec in ("cyclic:3", "cyclic:9", "cyclic:3xcyclic:3")],
+    ("cyclic:5", 5),
+    ("cyclic:7", 7),
+]
+
+
+def _no_units(digits, group, p):
+    return np.zeros(len(digits), dtype=bool)
+
+
+@pytest.mark.parametrize("spec, p", _P_GROUPS)
+def test_over_a_p_group_the_units_are_the_generators_of_nonzero_sum(spec, p):
+    # F_p[G] is local with the augmentation ideal as its maximal ideal: f
+    # has rank |G| exactly when its coefficient sum is nonzero, checked on
+    # each f's own multiplication matrix (on each orbit minimum past 2^12
+    # indices: rank and sum are constant on the orbits of f -> c*f*g)
+    group, field = from_spec(spec), PrimeField(p)
+    n = group.order
+    if p**n <= 1 << 12:
+        idx = np.arange(1, p**n, dtype=np.int64)
+    else:
+        idx = theorems._orbit_minima(group.table, p)
+    digits = theorems._generator_digits(idx, n, p)
+    full = [
+        linalg.rank(AlgElem(group, field, row).multiplication_matrix(), field) == n
+        for row in digits
+    ]
+    assert full == (digits.sum(axis=1) % p != 0).tolist()
+    assert theorems._units(digits, group, p).tolist() == full
+    assert any(full) and not all(full)
+
+
+@pytest.mark.parametrize(
+    "spec, coeffs, rank",
+    [("cyclic:3", [1, 1, 1], 1), ("symmetric:3", [1, 0, 0, 1, 1, 0], 2)],
+    ids=["C3", "S3"],
+)
+def test_off_a_p_group_a_nonzero_sum_is_no_unit(spec, coeffs, rank):
+    # over F_2 the sum of a subgroup of order 3 has sum 1 but generates the
+    # span of its coset indicators, so the rule needs the p-group gate
+    group = from_spec(spec)
+    f = AlgElem(group, F2, coeffs)
+    assert f.coeffs.sum() % 2 == 1
+    assert linalg.rank(f.multiplication_matrix(), F2) == rank < group.order
+    assert not theorems._units(f.coeffs[None], group, 2).any()
+    orbits = theorems.sweep_orbits(group, F2)
+    m = int(f.coeffs @ 2 ** np.arange(group.order))
+    assert orbits.ranks[np.searchsorted(orbits.minima, m)] == rank
+
+
+@pytest.mark.parametrize("spec, p", _P_GROUPS)
+def test_sweep_orbits_match_the_kernel_on_every_minimum(spec, p, monkeypatch):
+    # the same minima, ranks, tags and rows with the unit rule off, every
+    # minimum then going through the elimination kernel
+    group, field = from_spec(spec), PrimeField(p)
+    got = theorems.sweep_orbits(group, field)
+    monkeypatch.setattr(theorems, "_units", _no_units)
+    want = theorems.sweep_orbits(group, field)
+    assert got.minima.tolist() == want.minima.tolist()
+    assert got.ranks.tolist() == want.ranks.tolist()
+    assert [(t, r.dtype, r.tobytes()) for t, r in got.ideals] == [
+        (t, r.dtype, r.tobytes()) for t, r in want.ideals
+    ]
+    assert all(
+        linalg.reduced_basis(a, field, group.order) == linalg.reduced_basis(b, field, group.order)
+        for (_, a), (_, b) in zip(got.ideals, want.ideals)
+    )
+    assert got.ideals[0][0] == 1 and got.ranks[0] == group.order
+
+
+@pytest.mark.parametrize("n, sample", [(64, 200), (128, 1000)])
+def test_sampled_sweeps_match_the_kernel_on_every_sample(n, sample, monkeypatch):
+    # the whole algebra enters at the first sampled unit, in tag order (after
+    # a non-unit's ideal on C64); the uncertainty sweep's ranks are read as
+    # _reduce returns them
+    group = make_cyclic(n)
+    ranked: list[np.ndarray] = []
+    reduce = theorems._reduce
+
+    def spied(*args):
+        out = reduce(*args)
+        ranked.append(out[1])
+        return out
+
+    monkeypatch.setattr(theorems, "_reduce", spied)
+    runs = []
+    for rule in (theorems._units, _no_units):
+        monkeypatch.setattr(theorems, "_units", rule)
+        ideals = theorems.enumerate_cyclic_ideals(group, F2, sample=sample)
+        ranked.clear()
+        report = theorems.verify_uncertainty(group, F2, sample=sample)
+        runs.append(([(t, c.basis) for t, c in ideals], report, np.concatenate(ranked).tolist()))
+    assert runs[0] == runs[1]
+    ideals, report, ranks = runs[0]
+    picks = theorems._sample_indices(n, 2, sample, 0)
+    odd = theorems._generator_digits(picks, n, 2).sum(axis=1) % 2 == 1
+    tags = [t for t, _ in ideals]
+    assert tags == sorted(tags) and report["failures"] == []
+    assert [t for t, basis in ideals if basis.dim == n] == [picks[odd][0]]
+    assert [rank == n for rank in ranks] == odd.tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_over_the_trivial_group_the_kernels_get_no_matrix(p, monkeypatch):
+    # C1 is a p-group for every p, so each nonzero f is a unit
+    field = PrimeField(p)
+    shapes = []
+
+    def spy(kernel):
+        def spied(stack, *args):
+            shapes.append(stack.shape)
+            return kernel(stack, *args)
+
+        return spied
+
+    for name in ("f2_rref_stack", "rref_stack"):
+        monkeypatch.setattr(linalg, name, spy(getattr(linalg, name)))
+    orbits = theorems.sweep_orbits(make_cyclic(1), field)
+    assert orbits.minima.tolist() == [1] and orbits.ranks.tolist() == [1]
+    assert [(t, r.tolist()) for t, r in orbits.ideals] == [(1, [[1]])]
+    assert len(shapes) == 1 and shapes[0][0] == 0
+
+
+def test_the_audit_reads_no_unit_rule(monkeypatch):
+    # uncertainty_checks ranks every matrix, units too, so it tests the rule
+    def forbidden(*args):
+        raise AssertionError("the audit used the unit rule")
+
+    coeffs = theorems._generator_digits(np.arange(1, 256, dtype=np.int64), 8, 2)
+    want = [tuple(r) for r in theorems.uncertainty_checks(C8, F2, coeffs)]
+    monkeypatch.setattr(theorems, "_units", forbidden)
+    assert [tuple(r) for r in theorems.uncertainty_checks(C8, F2, coeffs)] == want
+    assert [r[1] == 8 for r in want] == (coeffs.sum(axis=1) % 2 == 1).tolist()
+
+
 @pytest.mark.parametrize("group, field", [(C8, F2), (S3, F3)], ids=["C8-F2", "S3-F3"])
 @pytest.mark.parametrize(
     "raise_rank, reason",
