@@ -296,6 +296,17 @@ def trivial_induced(group: Group, field: PrimeField, h: Subgroup) -> GCode:
     return GCode(group, linalg.RowBasis(minima == pivots[:, None], pivots, field))
 
 
+def is_induced(code: GCode, h: Subgroup) -> bool:
+    """Whether the code is `trivial_induced(code.group, code.field, h)`, read
+    from its own basis: a basis constant on every right coset of H
+    (`groups.coset_minima`) spans part of the coset-indicator span, and
+    dim * |H| = |G| makes it all of it."""
+    basis = code.basis.matrix
+    return code.dim * len(h) == code.length and np.array_equal(
+        basis, basis[:, groups.coset_minima(code.group, h)]
+    )
+
+
 def augmentation_ideal(group: Group, field: PrimeField) -> GCode:
     """Kernel of the coefficient-sum map; the even-weight code when p = 2."""
     ones = np.ones((1, group.order), dtype=np.int64)

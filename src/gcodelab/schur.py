@@ -35,8 +35,8 @@ import numpy as np
 from . import linalg
 from .errors import VerificationError
 from .ffield import PrimeField
-from .gcode import GCode
-from .groups import Group, Subgroup, coset_minima, same_group
+from .gcode import GCode, is_induced
+from .groups import Group, Subgroup, same_group
 
 __all__ = [
     "schur_product",
@@ -263,24 +263,21 @@ def fixed_point_structure(code: GCode) -> Subgroup:
     indicators of disjoint blocks, and a nonzero ideal has no zero column,
     so the identity's block is the set of columns of the canonical basis
     equal to column 0.  That block is certified to be a subgroup H whose
-    coset-indicator span equals the code, which also proves C*C = C: a
-    basis constant on every right coset of H (`coset_minima`) spans part of
-    that span, and dim C * |H| = |G| makes it all of it.  Only a code
-    failing the certificate is squared: ValueError when it is not
-    Schur-fixed, VerificationError (a bug) when it is.
+    coset-indicator span equals the code (`gcode.is_induced`), which also
+    proves C*C = C.  Only a code failing the certificate is squared:
+    ValueError when it is not Schur-fixed, VerificationError (a bug) when
+    it is.
     """
     if code.is_zero():
         raise ValueError("the zero code has no fixed-point structure")
-    group = code.group
     basis = code.basis.matrix
     members = np.flatnonzero((basis == basis[:, :1]).all(axis=0)).tolist()
     try:
-        sub = Subgroup(group, members)
+        sub = Subgroup(code.group, members)
     except ValueError:
         pass
     else:
-        minima = coset_minima(group, sub)
-        if code.dim * len(sub) == group.order and np.array_equal(basis, basis[:, minima]):
+        if is_induced(code, sub):
             return sub
     if schur_product(code, code) != code:
         raise ValueError("code is not fixed under its own Schur square")

@@ -23,7 +23,7 @@ from .errors import UnsupportedCover, VerificationError
 from .ffield import PrimeField
 from .galg import AlgElem, translate_weights
 from .gcode import GCode
-from .groups import Group, Subgroup, coset_minima, is_p_group, normal_p_complement, p_part
+from .groups import Group, Subgroup, is_p_group, normal_p_complement, p_part
 
 
 class UncertaintyResult(NamedTuple):
@@ -129,9 +129,11 @@ def equality_analysis(
     subgroup, the code is generated by c, the ideal cKH is one-dimensional,
     and (over a p-group in characteristic p) the code is the induced span of
     H-coset indicators; elsewhere that induced span meets d*k = |G| as well.
-    Since |H| = d and d*k = |G|, the code is that span exactly when its
-    basis is constant on every right coset of H (`coset_minima`); only a
-    code that is not builds the span, for its parameters.
+    All but the last are read from c's multiplication matrix M: c lies in
+    the code, so it generates the code exactly when rank M = k, and cKH is
+    a line exactly when M restricted to H x H has rank 1.  Whether the code
+    is the induced span is `gcode.is_induced`; only a code that is not
+    builds the span, for its parameters.
     """
     if code.is_zero():
         raise ValueError("equality analysis needs a nonzero code")
@@ -148,13 +150,12 @@ def equality_analysis(
         sub = Subgroup(group, members)
     except ValueError:
         raise VerificationError("minimum-weight support is not a subgroup") from None
-    regenerated = gc.ideal_from_generators(group, field, [c])
-    if regenerated != code:
+    m = c.multiplication_matrix()
+    if linalg.rank(m, field) != k:
         raise VerificationError("minimum-weight word fails to regenerate the code")
-    if _restricted_rank(c, sub) != 1:
+    if linalg.rank(m[np.ix_(members, members)], field) != 1:
         raise VerificationError("restriction of the generator ideal is not a line")
-    basis = code.basis.matrix
-    if not np.array_equal(basis, basis[:, coset_minima(group, sub)]):
+    if not gc.is_induced(code, sub):
         if is_p_group(group, field.p):
             raise VerificationError(
                 "p-group equality code is not the induced indicator span"
@@ -166,19 +167,15 @@ def equality_analysis(
     return EqualityWitness(sub, c, e)
 
 
-def _restricted_rank(c: AlgElem, sub: Subgroup) -> int:
-    """Rank of multiplication by c on the subalgebra spanned by sub."""
-    mem = sub.members
-    return linalg.rank(c.multiplication_matrix()[np.ix_(mem, mem)], c.field)
-
-
 def idempotent_generator(code: GCode, sub: Subgroup, c: AlgElem) -> AlgElem | None:
     """Idempotent generator of the code, existing exactly when the field
     characteristic does not divide the subgroup order.
 
     The square of the generator is a scalar multiple mu * c; when p divides
     |H| that scalar must vanish (or an idempotent generator would exist),
-    and otherwise e = mu^{-1} c is the idempotent.
+    and otherwise e = mu^{-1} c is the idempotent.  It generates the code
+    exactly when it lies in the code and its multiplication matrix has rank
+    dim C.
     """
     field = code.field
     cc = c.convolve(c)
@@ -197,7 +194,7 @@ def idempotent_generator(code: GCode, sub: Subgroup, c: AlgElem) -> AlgElem | No
     e = c.scale(field.inv(mu))
     if e.convolve(e) != e:
         raise VerificationError("candidate idempotent fails e*e = e")
-    if gc.ideal_from_generators(code.group, field, [e]) != code:
+    if not code.contains(e) or linalg.rank(e.multiplication_matrix(), field) != code.dim:
         raise VerificationError("idempotent generates a different ideal")
     return e
 

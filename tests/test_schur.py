@@ -3,13 +3,12 @@ import oracles
 import pytest
 
 from gcodelab import gcode as gc
-from gcodelab import linalg, schur, theorems
+from gcodelab import groups, linalg, schur, theorems
 from gcodelab.errors import VerificationError
 from gcodelab.ffield import PrimeField
 from gcodelab.galg import AlgElem
 from gcodelab.groups import (
     Subgroup,
-    coset_minima,
     from_spec,
     make_cyclic,
     make_dihedral,
@@ -272,7 +271,6 @@ def test_basis_check_agrees_with_the_induced_code(monkeypatch, spec, p):
     subgroups = _subgroups(group)
     fixed_codes = equality_codes = 0
     for _, code in enumerate_cyclic_ideals(group, field):
-        basis = code.basis.matrix
         try:
             fixed = schur.fixed_point_structure(code)
             fixed_codes += 1
@@ -282,7 +280,7 @@ def test_basis_check_agrees_with_the_induced_code(monkeypatch, spec, p):
             if code.dim * len(h) != group.order:
                 continue
             is_induced = induced(group, field, h) == code
-            assert np.array_equal(basis, basis[:, coset_minima(group, h)]) == is_induced
+            assert gc.is_induced(code, h) == is_induced
             assert (fixed == h) == is_induced
         # equality_analysis builds the induced code only when it differs
         assert built == []
@@ -299,14 +297,25 @@ def test_fixed_point_structure_on_every_s4_induced_code():
     s4 = make_symmetric(4)
     subgroups = _subgroups(s4)
     assert len(subgroups) == 30
-    for h in subgroups:
-        code = gc.trivial_induced(s4, F2, h)
+    induced = [gc.trivial_induced(s4, F2, h) for h in subgroups]
+    for h, code in zip(subgroups, induced):
         assert schur.fixed_point_structure(code) == h
-        basis = code.basis.matrix
-        for other in subgroups:
-            if len(other) == len(h):
-                constant = np.array_equal(basis, basis[:, coset_minima(s4, other)])
-                assert constant == (gc.trivial_induced(s4, F2, other) == code) == (other == h)
+        # the basis read agrees with building the induced span, whatever |H|
+        for other, span in zip(subgroups, induced):
+            assert gc.is_induced(code, other) == (span == code) == (other == h)
+    # likewise on D6 over F3, for its induced spans and its cyclic ideals
+    d6 = from_spec("dihedral:6")
+    subgroups = _subgroups(d6)
+    induced = [gc.trivial_induced(d6, F3, h) for h in subgroups]
+    codes = induced + [code for _, code in enumerate_cyclic_ideals(d6, F3)]
+    matches = 0
+    for code in codes:
+        for h, span in zip(subgroups, induced):
+            assert gc.is_induced(code, h) == (span == code)
+            matches += span == code
+    # each induced span is cyclic, generated by the sum over H, so it is
+    # matched once among the spans and once among the ideals
+    assert matches == 2 * len(subgroups)
 
 
 def test_fixed_point_structure_squares_only_a_failing_code(monkeypatch):
@@ -326,7 +335,7 @@ def test_fixed_point_structure_squares_only_a_failing_code(monkeypatch):
     assert len(squares) == 1
     # a Schur-fixed code that fails its certificate is a bug, not bad input:
     # read as one coset, its basis is not constant on it
-    monkeypatch.setattr(schur, "coset_minima", lambda g, h: np.zeros(g.order, dtype=np.int64))
+    monkeypatch.setattr(groups, "coset_minima", lambda g, h: np.zeros(g.order, dtype=np.int64))
     with pytest.raises(VerificationError, match="identity block"):
         schur.fixed_point_structure(code)
     assert len(squares) == 2

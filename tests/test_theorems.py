@@ -10,7 +10,7 @@ import oracles
 import pytest
 
 from gcodelab import constructions, galg, gcode as gc, groups, linalg, schur, theorems
-from gcodelab.errors import UnsupportedCover
+from gcodelab.errors import UnsupportedCover, VerificationError
 from gcodelab.ffield import PrimeField
 from gcodelab.galg import AlgElem, translate_weights
 from gcodelab.groups import (
@@ -147,6 +147,40 @@ def test_idempotent_generator_cases():
     assert w is not None and w.idempotent is not None
     e = w.idempotent
     assert e.convolve(e) == e
+
+
+def test_idempotent_generator_rejects_a_different_ideal():
+    # e = (2, 1) is idempotent: it lies in the full algebra of C2 over F3 but
+    # generates only a line, and it has the dimension of the line (1, 1) but
+    # does not lie in it
+    c = AlgElem(C2, F3, [1, 2])
+    ones = gc.ideal_from_generators(C2, F3, [AlgElem.all_ones(C2, F3)])
+    for code in (oracles.full_algebra(C2, F3), ones):
+        with pytest.raises(VerificationError, match="idempotent generates a different ideal"):
+            theorems.idempotent_generator(code, Subgroup(C2, [0, 1]), c)
+
+
+def test_equality_analysis_rank_checks_catch_a_mutation(monkeypatch):
+    # the ternary line (H = C2) and the full algebra (H = {1}): c generates
+    # each code and restricts to a line on H, and a rank read one too high
+    # trips the first check (every call) or the second (the second call)
+    line = gc.ideal_from_generators(C2, F3, [AlgElem(C2, F3, [1, 2])])
+    full = oracles.full_algebra(C2, F3)
+    subgroups = [theorems.equality_analysis(code).subgroup.members for code in (line, full)]
+    assert subgroups == [(0, 1), (0,)]
+    real = linalg.rank
+    for mutated, reason in [(1, "fails to regenerate the code"), (2, "is not a line")]:
+        for code in (line, full):
+            calls = []
+
+            def rank(a, field):
+                calls.append(a.shape)
+                return real(a, field) + (len(calls) >= mutated)
+
+            monkeypatch.setattr(linalg, "rank", rank)
+            with pytest.raises(VerificationError, match=reason):
+                theorems.equality_analysis(code)
+            assert len(calls) == mutated
 
 
 def test_projective_cover_cases():
@@ -341,14 +375,6 @@ def test_exhaustive_verify_all_does_not_load_numpy_random():
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", script], check=True, env=env)
-
-
-def test_restricted_rank_is_line_detector():
-    c = AlgElem(C2, F3, [1, 2])
-    sub = Subgroup(C2, [0, 1])
-    assert theorems._restricted_rank(c, sub) == 1
-    unit = AlgElem.basis_elem(C2, F3, 0)
-    assert theorems._restricted_rank(unit, Subgroup(C2, [0])) == 1
 
 
 def _unpruned_ideals(group, field):
@@ -969,6 +995,55 @@ def test_verify_equality_builds_each_witness_code_once(monkeypatch):
     assert rep["failures"] == [
         {"f": fidx, "reason": "induced code misses the bound"} for fidx in differ
     ]
+
+
+def test_verify_equality_rebuilds_no_code_from_a_generator(monkeypatch):
+    # generation is read off ranks of multiplication matrices: the only codes
+    # built are the induced spans of witnesses off a p-group that differ
+    # from their code, for the bound on the span
+    calls = {}
+
+    def count(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for spec, p, spans in [("cyclic:16", 2, 0), ("dihedral:6", 3, 22), ("cyclic:8", 5, 7)]:
+        group, field = from_spec(spec), PrimeField(p)
+        ideals = theorems.enumerate_cyclic_ideals(group, field)
+        differ = 0
+        for _, code in ideals:
+            witness = theorems.equality_analysis(code)
+            if witness is not None:
+                differ += gc.trivial_induced(group, field, witness.subgroup) != code
+        assert differ == spans
+        calls.update(generators=0, codes=0)
+        monkeypatch.setattr(
+            gc, "ideal_from_generators", count("generators", gc.ideal_from_generators)
+        )
+        monkeypatch.setattr(gc.GCode, "__init__", count("codes", gc.GCode.__init__))
+        rep = theorems.verify_equality(group, field, ideals=ideals)
+        monkeypatch.undo()
+        assert rep["failures"] == [] and rep["checked"] == len(ideals)
+        assert calls == {"generators": 0, "codes": spans}
+
+
+@pytest.mark.parametrize(
+    "spec, p", [("dihedral:10", 2), ("dihedral:6", 3), ("cyclic:12", 3), ("cyclic:8", 5)]
+)
+def test_generation_by_rank_matches_the_rebuilt_ideal(spec, p):
+    # c lies in the code, so cF[G] is the code exactly when c's
+    # multiplication matrix has rank dim C
+    group, field = from_spec(spec), PrimeField(p)
+    verdicts = set()
+    for _, code in theorems.enumerate_cyclic_ideals(group, field):
+        c = code.min_weight_codeword()
+        by_rank = linalg.rank(c.multiplication_matrix(), field) == code.dim
+        assert by_rank == (gc.ideal_from_generators(group, field, [c]) == code)
+        verdicts.add(by_rank)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("sample", [0, -3])
