@@ -314,7 +314,7 @@ def _cmd_search_golay(args, parser) -> int:
 
 def _cmd_search_sweep(args, parser) -> int:
     group, field, kwargs = _sweep_request(args, parser)
-    rows = sweep_report(group, field, **kwargs)
+    rows = theorems.sweep_report(group, field, **kwargs)
     if args.json:
         for row in rows:
             print(_dump(row))
@@ -327,36 +327,6 @@ def _cmd_search_sweep(args, parser) -> int:
                 f"{row['square_dim']:>6}"
             )
     return 0
-
-
-def sweep_report(
-    group,
-    field,
-    sample: int | None = None,
-    sample_seed: int = 0,
-    guard: int | None = None,
-) -> list[dict]:
-    """One row per distinct cyclic ideal: parameters, bound ratio,
-    self-orthogonality, and the Schur-square dimension; sorted by descending
-    ratio with deterministic tie-breaks."""
-    ideals = theorems.enumerate_cyclic_ideals(group, field, sample=sample, sample_seed=sample_seed)
-    rows = []
-    for fidx, code in ideals:
-        rep = code.params(guard=guard)  # raises when d*k < |G|
-        square = schur.schur_product(code, code)
-        rows.append(
-            {
-                "generator_index": fidx,
-                "k": rep.dimension,
-                "d": rep.distance,
-                "product": rep.product,
-                "ratio": rep.product / group.order,
-                "self_orthogonal": code.is_self_orthogonal(),
-                "square_dim": square.dim,
-            }
-        )
-    rows.sort(key=lambda r: (-r["ratio"], r["k"], r["generator_index"]))
-    return rows
 
 
 # one parser per process, built on first use (not at import)

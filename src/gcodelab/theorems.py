@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -371,9 +371,16 @@ def solv_check(code: GCode) -> dict:
 # linalg.rank elsewhere.  These must equal the fast values at m* for m the
 # orbit minimum of f*, read off the table table[inverse] of f -> f* *g_j (at
 # f itself when sampled), so the exhaustive audit also tests the invariance
-# and the involution.  verify_all runs the orbit pass once for the
-# uncertainty sweep and the enumeration, whose ideal list the bound,
-# equality and Schur sections share.
+# and the involution.
+#
+# One ideal list, one squaring path.  verify_all runs the orbit pass once for
+# the uncertainty sweep and the enumeration, whose ideal list the bound,
+# equality and Schur sections share; a section given no list enumerates every
+# cyclic ideal in _listed.  search sweep's sweep_report takes its list from
+# the same enumerate_cyclic_ideals, sampled or not.  It and verify_schur read
+# every Schur square off one generator, _chains, which runs the power chains
+# of _CHAIN_BATCH ideals at a time through schur.schur_power_chains: to the
+# end over F_2 in verify_schur, to the square elsewhere and in the sweep.
 
 _SWEEP_CHUNK = 1 << 10
 _TABLE_SIZE = 1 << 10  # rows of a digit-block lookup table, at most, so p <= it
@@ -712,26 +719,25 @@ def enumerate_cyclic_ideals(
     ]
 
 
-T = TypeVar("T")
+def _listed(
+    group: Group, field: PrimeField, ideals: list[tuple[int, GCode]] | None
+) -> list[tuple[int, GCode]]:
+    """The given ideal list, or every cyclic ideal when None."""
+    return enumerate_cyclic_ideals(group, field) if ideals is None else ideals
 
 
 def _each_ideal(
-    group: Group,
-    field: PrimeField,
-    ideals: Iterable[tuple[int, T]] | None,
-    check: Callable[[T], None],
+    group: Group, field: PrimeField, items: Iterable[tuple], check: Callable[..., None]
 ) -> dict:
-    """Run check(item) on each listed ideal's item, a GCode unless the caller
-    pairs it with more (every cyclic ideal when None), and report each
-    VerificationError under the ideal's generator index."""
-    if ideals is None:
-        ideals = enumerate_cyclic_ideals(group, field)
+    """Run check(*rest) on each (generator index, *rest) item, rest being an
+    ideal's GCode and whatever the caller pairs with it, and report each
+    VerificationError under the generator index."""
     checked = 0
     failures: list[dict] = []
-    for fidx, item in ideals:
+    for fidx, *item in items:
         checked += 1
         try:
-            check(item)
+            check(*item)
         except VerificationError as exc:
             failures.append({"f": fidx, "reason": str(exc)})
     return _report(group, field, checked, failures)
@@ -754,7 +760,7 @@ def verify_bound(
                 f"proper binary 2-group ideal has odd distance {rep.distance}"
             )
 
-    return _each_ideal(group, field, ideals, check)
+    return _each_ideal(group, field, _listed(group, field, ideals), check)
 
 
 def verify_equality(
@@ -781,12 +787,26 @@ def verify_equality(
                     "idempotent presence disagrees with the distance residue"
                 )
 
-    return _each_ideal(group, field, ideals, check)
+    return _each_ideal(group, field, _listed(group, field, ideals), check)
 
 
 _PAIRWISE_PRODUCT_CAP = 8  # group order up to which all ideal pairs are multiplied
 _CHAIN_BATCH = 16  # ideals whose power chains run together: bounds the stacks and powers held
 _PAIR_BATCH = 256  # ideal pairs whose products are formed together: bounds the stack
+
+
+def _chains(
+    ideals: Sequence[tuple[int, GCode]], max_t: int | None
+) -> Iterator[tuple[int, GCode, schur.ChainOutcome]]:
+    """(generator index, code, power chain or its VerificationError) for each
+    listed ideal, in order.  schur.schur_power_chains runs the chains of
+    _CHAIN_BATCH ideals at a time, each to at most max_t codes; a batch's
+    reports hold every power of its chains until the next batch."""
+    for lo in range(0, len(ideals), _CHAIN_BATCH):
+        batch = ideals[lo : lo + _CHAIN_BATCH]
+        chains = schur.schur_power_chains([code for _, code in batch], max_t=max_t)
+        for (fidx, code), chain in zip(batch, chains):
+            yield fidx, code, chain
 
 
 def verify_schur(
@@ -798,29 +818,16 @@ def verify_schur(
     the Schur-fixed ones, chain stabilization over F_2, and (on small groups)
     closure of every pairwise product.
 
-    Each ideal gets one power chain, to the end over F_2 and to the square
-    elsewhere; schur.schur_power_chains runs the chains of _CHAIN_BATCH
-    ideals at a time.  A chain that stops at once with period 1 has met a
+    Each ideal gets one power chain from _chains, to the end over F_2 and to
+    the square elsewhere.  A chain that stops at once with period 1 has met a
     Schur-fixed code, whose square is itself.  The pairwise products go
     through schur.schur_products, _PAIR_BATCH pairs at a time; each is
     checked against the dimension bound and for being an ideal, and a
     failure is reported under the pair's two generator indices."""
-    if ideals is None:
-        ideals = enumerate_cyclic_ideals(group, field)
+    ideals = _listed(group, field, ideals)
     binary = field.p == 2
 
-    def chained() -> Iterator[tuple[int, tuple[GCode, schur.ChainOutcome]]]:
-        # a batch's reports hold every power of its chains until checked
-        for lo in range(0, len(ideals), _CHAIN_BATCH):
-            batch = ideals[lo : lo + _CHAIN_BATCH]
-            chains = schur.schur_power_chains(
-                [code for _, code in batch], max_t=None if binary else 2
-            )
-            for (fidx, code), chain in zip(batch, chains):
-                yield fidx, (code, chain)
-
-    def check(item: tuple[GCode, schur.ChainOutcome]) -> None:
-        code, chain = item
+    def check(code: GCode, chain: schur.ChainOutcome) -> None:
         if isinstance(chain, VerificationError):
             raise chain
         fixed = len(chain.codes) == 1
@@ -830,7 +837,7 @@ def verify_schur(
         if binary and (not chain.complete or chain.period != 1):
             raise VerificationError("binary chain failed to stabilize")
 
-    report = _each_ideal(group, field, chained(), check)
+    report = _each_ideal(group, field, _chains(ideals, None if binary else 2), check)
     if group.order <= _PAIRWISE_PRODUCT_CAP:
         pairs = [((fi, fj), (a, b)) for i, (fi, a) in enumerate(ideals) for fj, b in ideals[i:]]
         for lo in range(0, len(pairs), _PAIR_BATCH):
@@ -858,3 +865,37 @@ def verify_all(group: Group, field: PrimeField, guard: int | None = None) -> dic
     ]
     checked = sum(rep["checked"] for rep in sections.values())
     return _report(group, field, checked, failures, sections=sections)
+
+
+def sweep_report(
+    group: Group,
+    field: PrimeField,
+    sample: int | None = None,
+    sample_seed: int = 0,
+    guard: int | None = None,
+) -> list[dict]:
+    """One row per distinct cyclic ideal (a seeded sample's when `sample`):
+    parameters, bound ratio, self-orthogonality, and the Schur-square
+    dimension, the last power of its chain to the square from _chains (a
+    Schur-fixed code's chain holds the code alone); sorted by descending
+    ratio with deterministic tie-breaks.  Each ideal in turn raises its
+    params' error, then its chain's."""
+    ideals = enumerate_cyclic_ideals(group, field, sample=sample, sample_seed=sample_seed)
+    rows = []
+    for fidx, code, chain in _chains(ideals, max_t=2):
+        rep = code.params(guard=guard)  # raises when d*k < |G|
+        if isinstance(chain, VerificationError):
+            raise chain
+        rows.append(
+            {
+                "generator_index": fidx,
+                "k": rep.dimension,
+                "d": rep.distance,
+                "product": rep.product,
+                "ratio": rep.product / group.order,
+                "self_orthogonal": code.is_self_orthogonal(),
+                "square_dim": chain.dims[-1],
+            }
+        )
+    rows.sort(key=lambda r: (-r["ratio"], r["k"], r["generator_index"]))
+    return rows

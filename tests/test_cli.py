@@ -5,7 +5,9 @@ import time
 
 import pytest
 
-from gcodelab import cli
+from gcodelab import cli, groups, schur, theorems
+from gcodelab.errors import VerificationError
+from gcodelab.ffield import PrimeField
 
 
 def run_lines(capsys, argv):
@@ -526,24 +528,106 @@ def test_sampled_sweeps_past_int64(capsys):
     assert capsys.readouterr().err.startswith("infeasible: 3^")
 
 
-# sha256 and line count of `search sweep --json` stdout, recorded before the
+# sha256 and line count of `search sweep --json` stdout; the spec may carry
+# further options.  The abelian and trivial groups were recorded before the
 # orbit pass read its indices from digit-block tables: C20/F2 is the 2^20
-# feasibility cap, and at n = 1 the index is a single digit block
+# feasibility cap, and at n = 1 the index is a single digit block.  The
+# non-abelian groups and the C12/F3 sample were recorded while the sweep still
+# squared each ideal alone, before it read the squares off batched chains.
 SEARCH_SWEEP_GOLDEN = {
     ("cyclic:20", "2"): ("05ea923da9912777063a700c68cbb587fbffc8d6ee3e3852f2885de08efb48f4", 24),
     ("cyclic:12", "3"): ("3f1920e6aae6f87e3d9524297a50103ad6730b665703332cf9b0b641b1221506", 63),
     ("cyclic:8", "5"): ("3c33892a2511e0d2e5e0db60903cd0720d86c80973d7dbd981c1f3575bb694b6", 63),
     ("cyclic:1", "2"): ("a2f32396b0de07f1eff91bbd6670b44b6b84a1dbf8f8a7509caaa49a65ac843d", 1),
     ("cyclic:1", "3"): ("a2f32396b0de07f1eff91bbd6670b44b6b84a1dbf8f8a7509caaa49a65ac843d", 1),
+    ("dihedral:10", "2"): ("e139e151ec6ddc0d14e498c2bed86d7922c80495301facb41cfbc9719e091d91", 197),
+    ("dihedral:6", "3"): ("5cd71adafc1158414275e1e015fe230d44fed00e08caaea3dbebf519c4df0fb7", 575),
+    ("symmetric:3", "5"): ("f449736639cbe3a2572b402840fd967936a5715dc444449a0364160578d8bfe3", 31),
+    ("cyclic:12 --sample 500 --seed 1", "3"): (
+        "c15de9b72785691cc850b049be60e2bdcfd2e2f297ae7d7568b7d9b860c76086", 27
+    ),
 }
 
 
 @pytest.mark.parametrize("spec, p", list(SEARCH_SWEEP_GOLDEN))
 def test_search_sweep_golden_at_the_caps(capsys, spec, p):
-    assert cli.run(["search", "sweep", "--group", spec, "--p", p, "--json"]) == 0
+    assert cli.run(["search", "sweep", "--group", *spec.split(), "--p", p, "--json"]) == 0
     out = capsys.readouterr().out
     digest, lines = SEARCH_SWEEP_GOLDEN[(spec, p)]
     assert (hashlib.sha256(out.encode()).hexdigest(), len(out.splitlines())) == (digest, lines)
+
+
+def _reference_sweep_rows(group, field, **sample) -> list[dict]:
+    """search sweep's rows as the sweep formed them while it squared each
+    ideal alone: params, schur_product(code, code) and is_self_orthogonal."""
+    rows = []
+    for fidx, code in theorems.enumerate_cyclic_ideals(group, field, **sample):
+        rep = code.params()
+        rows.append({
+            "generator_index": fidx,
+            "k": rep.dimension,
+            "d": rep.distance,
+            "product": rep.product,
+            "ratio": rep.product / group.order,
+            "self_orthogonal": code.is_self_orthogonal(),
+            "square_dim": schur.schur_product(code, code).dim,
+        })
+    rows.sort(key=lambda r: (-r["ratio"], r["k"], r["generator_index"]))
+    return rows
+
+
+@pytest.mark.parametrize("spec, p, options", [
+    ("dihedral:10", 2, ""),
+    ("dihedral:6", 3, ""),
+    ("symmetric:3", 5, ""),
+    ("cyclic:8", 5, ""),
+    ("dihedral:8", 2, ""),
+    ("cyclic:12", 3, "--sample 500 --seed 1"),
+])
+def test_search_sweep_rows_match_squaring_each_ideal_alone(capsys, monkeypatch, spec, p, options):
+    group, field = groups.from_spec(spec), PrimeField(p)
+    sample = {"sample": 500, "sample_seed": 1} if options else {}
+    expected = _reference_sweep_rows(group, field, **sample)
+    product, calls = schur.schur_product, []
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(schur, "schur_product", counted)
+    argv = ["search", "sweep", "--group", spec, "--p", str(p), *options.split(), "--json"]
+    code, lines = run_lines(capsys, argv)
+    assert code == 0
+    assert [json.loads(line) for line in lines] == expected
+    assert len(calls) == 0  # the squares come from the batched power chains
+
+
+def test_search_sweep_raises_params_then_chain_in_tag_order(capsys, monkeypatch):
+    # the ideal at _CHAIN_BATCH // 2 of D10/F2 gets a failed chain; the first
+    # ideal, the whole algebra, is scanned before it in the same batch
+    group, field = groups.from_spec("dihedral:10"), PrimeField(2)
+    ideals = theorems.enumerate_cyclic_ideals(group, field)
+    first = ideals[0][1]
+    failing = [ideals[theorems._CHAIN_BATCH // 2][1]]
+    chains = schur.schur_power_chains
+
+    def broken(codes, max_t=None):
+        outcomes = chains(codes, max_t)
+        return [VerificationError("injected") if c in failing else o for c, o in zip(codes, outcomes)]
+
+    monkeypatch.setattr(schur, "schur_power_chains", broken)
+    argv = ["search", "sweep", "--group", "dihedral:10", "--p", "2", "--json"]
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "verification failed: injected\n")
+    assert first.dim == 10 * 2
+    guard = ["--guard", str(2**first.dim - 1)]
+    for also_first in (False, True):  # one ideal's params come before its own chain too
+        failing += [first] if also_first else []
+        assert cli.run(argv + guard) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "infeasible: 2^20 codewords exceed the enumeration guard 1048575\n"
 
 
 # sha256 of each sweep command's stdout on the trivial group, recorded before
