@@ -37,7 +37,6 @@ from .groups import (
     make_symmetric,
     normal_p_complement,
     p_part,
-    right_cosets,
     save_group,
     subgroup_generated,
 )

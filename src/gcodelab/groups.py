@@ -221,12 +221,6 @@ def coset_minima(g: Group, h: Subgroup) -> np.ndarray:
     return np.minimum.reduce(blocks)
 
 
-def right_cosets(g: Group, h: Subgroup) -> list[list[int]]:
-    """The right cosets Hx, the blocks of `coset_minima`: each ascending, in
-    order of their smallest elements, so H comes first."""
-    return np.argsort(coset_minima(g, h), kind="stable").reshape(h.index, len(h)).tolist()
-
-
 def p_part_int(n: int, p: int) -> int:
     """Largest power of p dividing n."""
     if p < 2:

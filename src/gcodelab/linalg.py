@@ -194,12 +194,6 @@ def _inv_mod(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _work_dtype(p: int, ncols: int) -> type:
-    """`rref_stack`'s work dtype: the smallest that holds (p-1) + c*(p-1)^2."""
-    bound = (p - 1) + ncols * (p - 1) ** 2
-    return next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-
-
 def rref_stack(stack, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
     """Canonical RREF of every matrix of a (B, r, c) stack, in one pass.
 
@@ -222,7 +216,9 @@ def rref_stack(stack, field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
     if m.ndim != 3:
         raise ValueError(f"expected a (B, r, c) stack, got ndim={m.ndim}")
     nmat, nrows, ncols = m.shape
-    m = (m % p).astype(_work_dtype(p, ncols))
+    bound = (p - 1) + ncols * (p - 1) ** 2
+    work = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    m = (m % p).astype(work)
     ranks = np.zeros(nmat, dtype=np.int64)
     below = np.arange(nrows)
     every = np.arange(nmat)
@@ -295,15 +291,6 @@ def f2_rref_stack(words: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray
             word[every, r] = pivot
         ranks += has
     return words, ranks
-
-
-def identity_rows(n: int, field: PrimeField) -> np.ndarray:
-    """The n x n identity as a stack kernel returns the reduced rows of a
-    matrix of rank n: packed words over F_2, `rref_stack`'s work dtype
-    otherwise."""
-    if field.p == 2:
-        return pack_f2(np.eye(n, dtype=np.uint8))
-    return np.eye(n, dtype=_work_dtype(field.p, n))
 
 
 def reduced_basis(rows: np.ndarray, field: PrimeField, ncols: int) -> RowBasis:

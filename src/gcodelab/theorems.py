@@ -317,13 +317,13 @@ def solv_check(code: GCode) -> dict:
 # ideal the augmentation ideal, so the f with nonzero coefficient sum are
 # units: _units marks them, they get rank |G| uneliminated, and the whole
 # algebra enters the ideal list once, under the first of them.  The bytes of
-# each other reduced matrix key the deduplication (the RREF is unique); the
-# kept ideals' rows stay in that form until linalg.reduced_basis makes each a
-# basis.  The generators of an ideal form a union of orbits, so its smallest
-# generator -- the tag the sweeps report -- is an orbit minimum and the tags
-# are those of an unpruned sweep.  Sampled sweeps eliminate the sampled
-# generators themselves (units excepted), with no orbit pass over all p^n
-# indices.
+# each other reduced matrix key the deduplication (the RREF is unique), and
+# _eliminate makes each kept ideal a GCode as it first meets it, so no kernel
+# rows leave it.  The generators of an ideal form a union of orbits, so its
+# smallest generator -- the tag the sweeps report -- is an orbit minimum and
+# the tags are those of an unpruned sweep.  Sampled sweeps eliminate the
+# sampled generators themselves (units excepted), with no orbit pass over all
+# p^n indices.
 #
 # Orbit minima by digit-block lookup.  A table gives n maps of coordinates:
 # map j moves coordinate x of f to table[x, j], so group.table gives
@@ -397,17 +397,14 @@ class SweepOrbits(NamedTuple):
 
     minima lists the nonzero orbit minima in ascending order and ranks holds
     dim fF[G] at each; ideals lists each distinct nonzero cyclic ideal once,
-    as (smallest generator index, canonical RREF rows), in order of that
-    index.  The rows stay in the form the elimination kernel gave them
-    (packed words over F_2, its work dtype over odd p) until
-    linalg.reduced_basis makes them a basis.  Over a p-group the units are
-    not eliminated: their rank is |G|, and the whole algebra's rows, under
-    index 1, are linalg.identity_rows in that same form.
+    as (smallest generator index, GCode), in order of that index.  Over a
+    p-group the units are not eliminated: their rank is |G|, and the whole
+    algebra, under index 1, is the GCode of the identity basis.
     """
 
     minima: np.ndarray
     ranks: np.ndarray
-    ideals: list[tuple[int, np.ndarray]]
+    ideals: list[tuple[int, GCode]]
 
 
 def _generator_digits(idx: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -477,17 +474,19 @@ def _reduce(
 
 def _eliminate(
     indices: np.ndarray, group: Group, field: PrimeField
-) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+) -> tuple[np.ndarray, list[tuple[int, GCode]]]:
     """Ranks of the ideals generated by the given ascending generator indices,
-    and the distinct ideals among them as (first index, RREF rows in _reduce's
-    form).  The units all generate the whole algebra and no other f does, so
-    it enters once, at the first unit, as linalg.identity_rows; the dedupe
-    loop runs over the eliminated f alone."""
+    and the distinct ideals among them as (first index, GCode).  The bytes of
+    _reduce's rows key the dedupe; the first time an ideal is met,
+    linalg.reduced_basis makes its rows a basis, so no kernel rows leave
+    here.  The units all generate the whole algebra and no other f does, so
+    it enters once, at the first unit, as the GCode of the identity basis;
+    the dedupe loop runs over the eliminated f alone."""
     n, p = group.order, field.p
     translate, weights = _translate_index(group), translate_weights(group)
     ranks = np.empty(len(indices), dtype=np.int64)
     seen: set[bytes] = set()
-    ideals: list[tuple[int, np.ndarray]] = []
+    ideals: list[tuple[int, GCode]] = []
     whole = None  # the first unit's index
     for lo in range(0, len(indices), _SWEEP_CHUNK):
         idx = indices[lo : lo + _SWEEP_CHUNK]
@@ -505,9 +504,10 @@ def _eliminate(
             key = rows.tobytes()
             if key not in seen:
                 seen.add(key)
-                ideals.append((fidx, rows.copy()))
+                ideals.append((fidx, GCode(group, linalg.reduced_basis(rows, field, n))))
     if whole is not None:  # in tag order, among the ascending tags
-        bisect.insort(ideals, (whole, linalg.identity_rows(n, field)), key=lambda ideal: ideal[0])
+        full = GCode(group, linalg.RowBasis(np.eye(n, dtype=np.int64), range(n), field))
+        bisect.insort(ideals, (whole, full), key=lambda ideal: ideal[0])
     return ranks, ideals
 
 
@@ -707,16 +707,9 @@ def enumerate_cyclic_ideals(
     and eliminates exactly those, batched like the orbit minima.
     """
     if sample is None:
-        if orbits is None:
-            orbits = sweep_orbits(group, field)
-        found = orbits.ideals
-    else:
-        picks = _sample_indices(group.order, field.p, sample, sample_seed)
-        found = _eliminate(picks, group, field)[1]
-    return [
-        (fidx, GCode(group, linalg.reduced_basis(rows, field, group.order)))
-        for fidx, rows in found
-    ]
+        return (orbits if orbits is not None else sweep_orbits(group, field)).ideals
+    picks = _sample_indices(group.order, field.p, sample, sample_seed)
+    return _eliminate(picks, group, field)[1]
 
 
 def _listed(

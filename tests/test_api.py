@@ -19,7 +19,7 @@ def test_public_api_is_pinned():
         "is_subgroup", "kernel", "load_code", "load_group", "make_cyclic",
         "make_dihedral", "make_elementary_abelian", "make_quaternion8",
         "make_symmetric", "normal_p_complement", "p_part",
-        "projective_cover_trivial", "rank", "reed_muller", "right_cosets",
+        "projective_cover_trivial", "rank", "reed_muller",
         "rm_schur_square_check", "rref", "save_code", "save_group",
         "schur_power_chain", "schur_power_chains", "schur_product",
         "schur_products", "schur_square_theorem_check", "solv_check",

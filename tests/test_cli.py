@@ -533,7 +533,10 @@ def test_sampled_sweeps_past_int64(capsys):
 # orbit pass read its indices from digit-block tables: C20/F2 is the 2^20
 # feasibility cap, and at n = 1 the index is a single digit block.  The
 # non-abelian groups and the C12/F3 sample were recorded while the sweep still
-# squared each ideal alone, before it read the squares off batched chains.
+# squared each ideal alone, before it read the squares off batched chains.  The
+# F_2 samples were recorded while the ideal list still left the orbit pass as
+# kernel rows: C21 and D11 lie past the 2^20 cap, and on C16 the whole algebra
+# enters at tag 220, in the middle of the list.
 SEARCH_SWEEP_GOLDEN = {
     ("cyclic:20", "2"): ("05ea923da9912777063a700c68cbb587fbffc8d6ee3e3852f2885de08efb48f4", 24),
     ("cyclic:12", "3"): ("3f1920e6aae6f87e3d9524297a50103ad6730b665703332cf9b0b641b1221506", 63),
@@ -545,6 +548,15 @@ SEARCH_SWEEP_GOLDEN = {
     ("symmetric:3", "5"): ("f449736639cbe3a2572b402840fd967936a5715dc444449a0364160578d8bfe3", 31),
     ("cyclic:12 --sample 500 --seed 1", "3"): (
         "c15de9b72785691cc850b049be60e2bdcfd2e2f297ae7d7568b7d9b860c76086", 27
+    ),
+    ("cyclic:21 --sample 200 --seed 0", "2"): (
+        "4f63d86d68d11a734e426d621e97c8c5abde9408cac67aa15b629da9fecc0c0b", 18
+    ),
+    ("dihedral:11 --sample 200 --seed 0", "2"): (
+        "a0384d3c9fb95e978c9b807d85112f4da092cadd516a9a33cad369b5d9570f8c", 13
+    ),
+    ("cyclic:16 --sample 300 --seed 2", "2"): (
+        "d2b23fc2e7c4dfda015cdef70d1de0f5f18e284f6c5a9bf5dcfb1594ef16985f", 8
     ),
 }
 

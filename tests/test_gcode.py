@@ -85,8 +85,8 @@ def test_trivial_induced_rows_are_already_canonical(spec):
     for field in (F2, PrimeField(3)):
         for h in subgroups:
             rows = np.zeros((h.index, n), dtype=np.int64)
-            for i, block in enumerate(groups.right_cosets(group, h)):
-                rows[i, block] = 1
+            for i, block in enumerate(oracles.cosets_scan(group.table.tolist(), h.members)):
+                rows[i, list(block)] = 1
             code = gc.trivial_induced(group, field, h)
             assert code.basis == linalg.rref(rows, field, width=n)
 

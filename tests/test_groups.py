@@ -112,14 +112,23 @@ def test_subgroup_validation():
     assert h.index == 3
 
 
-def test_right_cosets():
+def _blocks(g, h):
+    """The right cosets read off coset_minima: each ascending, in order of
+    their smallest elements."""
+    minima = groups.coset_minima(g, h)
+    return [np.flatnonzero(minima == m).tolist() for m in np.unique(minima)]
+
+
+def test_coset_map_blocks():
     c4 = groups.make_cyclic(4)
     h = groups.Subgroup(c4, [0, 2])
-    assert groups.right_cosets(c4, h) == [[0, 2], [1, 3]]
+    assert groups.coset_minima(c4, h).tolist() == [0, 1, 0, 1]
+    assert _blocks(c4, h) == [[0, 2], [1, 3]]
     whole = groups.Subgroup(c4, range(4))
-    assert groups.right_cosets(c4, whole) == [[0, 1, 2, 3]]
+    assert _blocks(c4, whole) == [[0, 1, 2, 3]]
     triv = groups.Subgroup(c4, [0])
-    assert groups.right_cosets(c4, triv) == [[0], [1], [2], [3]]
+    assert groups.coset_minima(c4, triv).tolist() == [0, 1, 2, 3]
+    assert _blocks(c4, triv) == [[0], [1], [2], [3]]
 
 
 # every subgroup of each group, and how many of them are not normal
@@ -143,7 +152,6 @@ def test_coset_map_matches_brute_force_right_cosets(spec):
         cosets = oracles.cosets_scan(table, members)
         minimum = {x: coset[0] for coset in cosets for x in coset}
         assert groups.coset_minima(g, h).tolist() == [minimum[x] for x in range(g.order)]
-        assert groups.right_cosets(g, h) == [list(coset) for coset in cosets]
         lopsided += cosets != oracles.cosets_scan(table, members, side="left")
     assert (len(subgroups), lopsided) == SUBGROUP_COUNTS[spec]
 
@@ -154,14 +162,14 @@ def test_coset_map_in_row_blocks():
     h = groups.subgroup_generated(c1024, [2])
     assert len(h) == 512
     assert groups.coset_minima(c1024, h).tolist() == [x % 2 for x in range(1024)]
-    assert groups.right_cosets(c1024, h) == [list(range(0, 1024, 2)), list(range(1, 1024, 2))]
+    assert _blocks(c1024, h) == [list(range(0, 1024, 2)), list(range(1, 1024, 2))]
 
 
 def test_cosets_partition_property():
     d4 = groups.make_dihedral(4)
     for seed in range(d4.order):
         h = groups.subgroup_generated(d4, [seed])
-        blocks = groups.right_cosets(d4, h)
+        blocks = _blocks(d4, h)
         flat = sorted(x for b in blocks for x in b)
         assert flat == list(range(d4.order))
         assert all(len(b) == len(h) for b in blocks)
@@ -271,11 +279,11 @@ def test_subgroups_of_equal_table_copies_are_equal():
     c4, twin = groups.make_cyclic(4), groups.make_cyclic(4)
     h, h_twin = groups.Subgroup(c4, [0, 2]), groups.Subgroup(twin, [0, 2])
     assert h == h_twin and hash(h) == hash(h_twin)
-    assert groups.right_cosets(c4, h_twin) == [[0, 2], [1, 3]]
+    assert groups.coset_minima(c4, h_twin).tolist() == [0, 1, 0, 1]
     v4 = groups.make_elementary_abelian(2, 2)
     assert groups.Subgroup(v4, [0, 2]) != h
     with pytest.raises(ValueError, match="subgroup belongs to a different group"):
-        groups.right_cosets(v4, h)
+        groups.coset_minima(v4, h)
 
 
 def test_corrupt_tables_rejected():

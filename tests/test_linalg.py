@@ -355,21 +355,6 @@ def test_stack_kernels_take_an_empty_stack(p, cols):
     assert ranks.shape == (0,) and ranks.dtype == np.int64
 
 
-@pytest.mark.parametrize("p, n", [(2, 1), (2, 64), (2, 70), (3, 1), (3, 9), (5, 8), (181, 9)])
-def test_identity_rows_are_the_kernel_rows_of_full_rank(p, n):
-    # the kernels' reduced rows of an invertible matrix, dtype and bytes
-    field = PrimeField(p)
-    m = np.triu(np.random.default_rng(n).integers(0, p, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
-    if p == 2:
-        reduced, ranks = linalg.f2_rref_stack(linalg.pack_f2(m[None]), n)
-    else:
-        reduced, ranks = linalg.rref_stack(m[None].astype(np.uint8), field)
-    rows = linalg.identity_rows(n, field)
-    assert ranks.tolist() == [n] and rows.dtype == reduced.dtype
-    assert rows.tobytes() == reduced[0].tobytes()
-    assert linalg.reduced_basis(rows, field, n) == linalg.rref(np.eye(n, dtype=np.int64), field)
-
-
 @pytest.mark.parametrize("p, cols", [(2, 63), (2, 64), (2, 65), (2, 128), (3, 9), (5, 9)])
 def test_reduced_basis_of_kernel_rows_is_the_rref(p, cols):
     # packed words from f2_rref_stack over F_2, work-dtype rows from rref_stack otherwise

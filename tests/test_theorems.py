@@ -19,7 +19,6 @@ from gcodelab.groups import (
     make_cyclic,
     make_elementary_abelian,
     make_symmetric,
-    right_cosets,
     subgroup_generated,
 )
 
@@ -38,9 +37,9 @@ def test_greedy_support_rank_examples():
     t, seq = oracles.greedy_support_rank(C8, h.members)
     assert t == h.index
     # the kept representatives tile the group exactly like the coset blocks
-    blocks = right_cosets(C8, h)
+    blocks = oracles.cosets_scan(C8.table.tolist(), h.members)
     tiled = sorted(tuple(sorted(int(C8.table[x, g]) for x in h.members)) for g in seq)
-    assert tiled == sorted(tuple(b) for b in blocks)
+    assert tiled == blocks
 
 
 def test_greedy_support_rank_validation():
@@ -564,7 +563,7 @@ def test_off_a_p_group_a_nonzero_sum_is_no_unit(spec, coeffs, rank):
 
 @pytest.mark.parametrize("spec, p", _P_GROUPS)
 def test_sweep_orbits_match_the_kernel_on_every_minimum(spec, p, monkeypatch):
-    # the same minima, ranks, tags and rows with the unit rule off, every
+    # the same minima, ranks, tags and codes with the unit rule off, every
     # minimum then going through the elimination kernel
     group, field = from_spec(spec), PrimeField(p)
     got = theorems.sweep_orbits(group, field)
@@ -572,13 +571,7 @@ def test_sweep_orbits_match_the_kernel_on_every_minimum(spec, p, monkeypatch):
     want = theorems.sweep_orbits(group, field)
     assert got.minima.tolist() == want.minima.tolist()
     assert got.ranks.tolist() == want.ranks.tolist()
-    assert [(t, r.dtype, r.tobytes()) for t, r in got.ideals] == [
-        (t, r.dtype, r.tobytes()) for t, r in want.ideals
-    ]
-    assert all(
-        linalg.reduced_basis(a, field, group.order) == linalg.reduced_basis(b, field, group.order)
-        for (_, a), (_, b) in zip(got.ideals, want.ideals)
-    )
+    assert [(t, c.basis) for t, c in got.ideals] == [(t, c.basis) for t, c in want.ideals]
     assert got.ideals[0][0] == 1 and got.ranks[0] == group.order
 
 
@@ -631,8 +624,63 @@ def test_over_the_trivial_group_the_kernels_get_no_matrix(p, monkeypatch):
         monkeypatch.setattr(linalg, name, spy(getattr(linalg, name)))
     orbits = theorems.sweep_orbits(make_cyclic(1), field)
     assert orbits.minima.tolist() == [1] and orbits.ranks.tolist() == [1]
-    assert [(t, r.tolist()) for t, r in orbits.ideals] == [(1, [[1]])]
+    assert [(t, c.basis.matrix.tolist()) for t, c in orbits.ideals] == [(1, [[1]])]
     assert len(shapes) == 1 and shapes[0][0] == 0
+
+
+# (spec, p, sample): p-groups, where the whole algebra enters the list at the
+# first unit uneliminated, then groups where it comes out of the kernel
+_WHOLE_ALGEBRA_CASES = [
+    ("cyclic:1", 2, None),
+    ("cyclic:1", 3, None),
+    ("cyclic:1", 181, None),
+    ("cyclic:9", 3, None),
+    ("dihedral:4", 2, None),
+    ("cyclic:5", 5, None),
+    ("cyclic:64", 2, 200),
+    ("cyclic:128", 2, 1000),
+    ("cyclic:6", 2, None),
+    ("symmetric:3", 2, None),
+    ("cyclic:8", 5, None),
+    ("cyclic:70", 2, 300),
+    ("cyclic:9", 181, 20),
+]
+
+
+@pytest.mark.parametrize("spec, p, sample", _WHOLE_ALGEBRA_CASES)
+def test_the_whole_algebra_is_listed_at_the_first_unit(spec, p, sample, monkeypatch):
+    # listed once, equal to F_p[G], under the first generator of rank |G|
+    # (index 1, f = 1, when exhaustive) and in tag order; every other ideal,
+    # and off a p-group the whole algebra too, is a basis of kernel rows
+    group, field = from_spec(spec), PrimeField(p)
+    n = group.order
+    made: list[int] = []
+    reduced_basis = linalg.reduced_basis
+
+    def spied(*args):
+        basis = reduced_basis(*args)
+        made.append(basis.dim)
+        return basis
+
+    monkeypatch.setattr(linalg, "reduced_basis", spied)
+    ideals = theorems.enumerate_cyclic_ideals(group, field, sample=sample)
+    if sample is None:
+        picks = theorems._orbit_minima(group.table, p)
+    else:
+        picks = theorems._sample_indices(n, p, sample, 0)
+    first = next(
+        int(f)
+        for f, row in zip(picks, theorems._generator_digits(picks, n, p))
+        if linalg.rank(AlgElem(group, field, row).multiplication_matrix(), field) == n
+    )
+    assert sample is not None or first == 1
+    tags = [t for t, _ in ideals]
+    assert tags == sorted(set(tags))
+    whole = [(t, c) for t, c in ideals if c.dim == n]
+    assert whole == [(first, oracles.full_algebra(group, field))]
+    p_group = groups.is_p_group(group, p)
+    assert (n in made) != p_group
+    assert len(made) == len(ideals) - p_group
 
 
 def test_the_audit_reads_no_unit_rule(monkeypatch):
